@@ -23,14 +23,7 @@ from .inference import (
     compute_ppi,
     summarize,
 )
-from .likelihood import (
-    TaxonParams,
-    log_prior_terms,
-    mean_alpha,
-    nb_log_pmf,
-    taxon_log_lik,
-    zinb_log_pmf,
-)
+from .likelihood import nb_log_pmf, zinb_log_pmf
 from .normalization import (
     METHODS,
     SizeFactors,
@@ -41,19 +34,7 @@ from .normalization import (
     estimate_rle,
     estimate_tmm,
 )
-from .sampler import (
-    ChainConfig,
-    ChainTrace,
-    ModelState,
-    init_state,
-    run_chain,
-    run_chains_parallel,
-    update_delta_beta,
-    update_gamma_mu,
-    update_mu0,
-    update_phi,
-    update_r,
-)
+from .sampler import ChainConfig, ChainTrace, ModelState, run_chain, run_chains_parallel
 from .simulate import SimConfig, SimTruth, dirichlet_draw, generate, generate_zinb
 
 __version__ = "0.1.0"

@@ -51,7 +51,7 @@ from .errors import (
 from .evaluate import ScoreReport, roc_points, score_run
 from .inference import PosteriorSummary, chain_concordance, summarize
 from .normalization import METHODS, estimate
-from .sampler import ChainConfig, run_chains_parallel
+from .sampler import ChainConfig, default_max_workers, run_chains_parallel
 from .simulate import SimConfig, SimTruth, generate
 
 __all__ = ["RunConfig", "parse_config", "main"]
@@ -325,6 +325,10 @@ def _validate_config(cfg: RunConfig) -> None:
         raise UsageError(f"--l-css must lie in [0, 100], got {cfg.l_css}")
     if cfg.subcommand in ("sim-study",) and cfg.replicates < 1:
         raise UsageError(f"--replicates must be >= 1, got {cfg.replicates}")
+    if cfg.subcommand == "sim-study" and cfg.trace_dump:
+        raise UsageError("--trace-dump: only fit writes traces, sim-study does not")
+    if cfg.subcommand in ("fit", "sim-study") and cfg.threads is None:
+        default_max_workers()  # a bad ZINBREG_THREADS fails here, before any work
     if cfg.norm not in METHODS:
         raise UsageError(f"--norm must be one of {METHODS}, got {cfg.norm}")
 

@@ -68,10 +68,6 @@ class EmptyTrace(ZinbregError):
     pass
 
 
-class DegenerateVariance(ZinbregError):
-    pass
-
-
 class SingleClassTruth(ZinbregError):
     pass
 

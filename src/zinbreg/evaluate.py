@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DimensionMismatch, SingleClassTruth
 from .inference import PosteriorSummary
@@ -33,7 +32,9 @@ def roc_auc(scores: np.ndarray, truth: np.ndarray) -> float:
     n_neg = truth.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClassTruth("truth must contain both classes")
-    ranks = rankdata(scores, method="average")
+    # midrank of each distinct score: ranks before it plus (count + 1) / 2
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     return float((ranks[truth].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

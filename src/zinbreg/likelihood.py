@@ -1,41 +1,39 @@
-"""Zero-inflated negative binomial kernel and per-taxon model terms.
+"""Negative binomial kernel and the prior densities the sampler uses.
 
-All probability work happens in log space with ``lgamma``-based negative
-binomial mass, so the functions stay exact for counts far beyond anything
-a factorial table could cover.
+The model has one likelihood: a negative binomial mass per matrix cell,
+summed over the cells not flagged as extra zeros. Its log splits into
 
-Parameterization notes:
+* ``nb_kernel(y, loglam, phi)``: the terms that involve the mean,
+  ``y*log(lam) - (y + phi)*log(lam + phi)``, written with the log mean so
+  that it stays finite for any finite linear predictor;
+* ``nb_phi_terms(y, phi)``: the terms in the dispersion alone,
+  ``lgamma(y + phi) - lgamma(phi) + phi*log(phi)``;
+* ``-lgamma(y + 1)``, which depends on the data only.
 
-* ``nb_log_pmf(y, lam, phi)`` has mean ``lam`` and variance
-  ``lam + lam**2 / phi``; large ``phi`` recovers the Poisson.
-* the dispersion prior is a shape-rate gamma (mean ``a_phi / b_phi``);
-* the slab priors on group shifts and covariate effects are the
-  marginalized scaled-t densities ``t_{2a}(0, b/a)`` obtained by
-  integrating a normal slab against its shared inverse-gamma variance.
+Every sampler move and the log posterior evaluate the kernel through one
+engine method; ``nb_log_pmf`` adds the other two parts to give the full
+mass. The NB has mean ``lam`` and variance ``lam + lam**2 / phi``; large
+``phi`` recovers the Poisson.
+
+The slab priors on group shifts and covariate effects are the
+marginalized scaled-t densities ``t_{2a}(0, b/a)`` obtained by
+integrating a normal slab against its shared inverse-gamma variance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import gammaln
 
-from .data import CovariateMatrix, GroupAssignment, Hyperparameters
-from .errors import DomainError, InconsistentZeroIndicator
-from .normalization import SizeFactors
+from .errors import DomainError
 
 __all__ = [
+    "nb_kernel",
+    "nb_phi_terms",
     "nb_log_pmf",
     "zinb_log_pmf",
-    "TaxonParams",
-    "mean_alpha",
-    "taxon_log_lik",
-    "PriorTerms",
-    "log_prior_terms",
     "log_normal_density",
     "log_t_density",
-    "log_gamma_density",
 ]
 
 
@@ -55,9 +53,15 @@ def log_t_density(x, df, scale_sq):
     )
 
 
-def log_gamma_density(x, shape, rate):
-    """Log density of a shape-rate gamma at x > 0."""
-    return shape * np.log(rate) - gammaln(shape) + (shape - 1.0) * np.log(x) - rate * x
+def nb_kernel(y, loglam, phi):
+    """Mean-dependent part of the NB log mass at count ``y``, log mean
+    ``loglam`` and dispersion ``phi`` (broadcastable arrays)."""
+    return y * loglam - (y + phi) * np.logaddexp(loglam, np.log(phi))
+
+
+def nb_phi_terms(y, phi):
+    """Part of the NB log mass that depends on the dispersion alone."""
+    return gammaln(y + phi) - gammaln(phi) + phi * np.log(phi)
 
 
 def nb_log_pmf(y, lam, phi):
@@ -77,14 +81,7 @@ def nb_log_pmf(y, lam, phi):
         raise DomainError("phi must be strictly positive and finite")
     if np.any(y < 0) or np.any(y != np.floor(y)):
         raise DomainError("y must be a non-negative integer")
-    log_denom = np.logaddexp(np.log(lam), np.log(phi))
-    out = (
-        gammaln(y + phi)
-        - gammaln(y + 1.0)
-        - gammaln(phi)
-        + phi * (np.log(phi) - log_denom)
-        + y * (np.log(lam) - log_denom)
-    )
+    out = nb_kernel(y, np.log(lam), phi) + nb_phi_terms(y, phi) - gammaln(y + 1.0)
     return out if out.ndim else float(out)
 
 
@@ -101,118 +98,3 @@ def zinb_log_pmf(y, pi, lam, phi):
         log_1mpi = np.log1p(-pi)
     out = np.where(y == 0, np.logaddexp(log_pi, log_1mpi + nb), log_1mpi + nb)
     return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class TaxonParams:
-    """Per-taxon model parameters.
-
-    ``mu_k`` holds one entry per group, with the reference group pinned at
-    zero. Indicator consistency (zero coefficients for switched-off
-    indicators) is enforced at construction.
-    """
-
-    mu0: float
-    mu_k: np.ndarray
-    beta: np.ndarray
-    phi: float
-    gamma: int
-    delta: np.ndarray
-    reference_group: int = 1
-
-    def __post_init__(self):
-        mu_k = np.ascontiguousarray(self.mu_k, dtype=np.float64)
-        beta = np.ascontiguousarray(self.beta, dtype=np.float64)
-        delta = np.ascontiguousarray(self.delta, dtype=np.int8)
-        for arr in (mu_k, beta, delta):
-            arr.flags.writeable = False
-        object.__setattr__(self, "mu_k", mu_k)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "delta", delta)
-        if self.gamma not in (0, 1) or np.any((delta != 0) & (delta != 1)):
-            raise DomainError("gamma and delta must be binary")
-        if not (np.isfinite(self.phi) and self.phi > 0):
-            raise DomainError(f"phi must be strictly positive, got {self.phi}")
-        if beta.shape != delta.shape:
-            raise DomainError("beta and delta must have the same length")
-        if not 1 <= self.reference_group <= mu_k.shape[0]:
-            raise DomainError("reference group index outside 1..K")
-        if mu_k[self.reference_group - 1] != 0.0:
-            raise DomainError("mu_k must be zero for the reference group")
-        if self.gamma == 0 and np.any(mu_k != 0.0):
-            raise DomainError("gamma=0 requires all group shifts to be zero")
-        if np.any((delta == 0) & (beta != 0.0)):
-            raise DomainError("delta=0 requires the matching beta to be zero")
-
-    @property
-    def n_groups(self) -> int:
-        return self.mu_k.shape[0]
-
-
-def mean_alpha(params: TaxonParams, x_row: np.ndarray, group: int) -> float:
-    """Normalized abundance exp(mu0 + gamma*mu_k[group] + x.beta) for one
-    sample; the NB mean is the size factor times this."""
-    if not 1 <= group <= params.n_groups:
-        raise DomainError(f"group {group} outside 1..{params.n_groups}")
-    x_row = np.asarray(x_row, dtype=np.float64)
-    eta = params.mu0 + params.gamma * params.mu_k[group - 1] + float(x_row @ params.beta)
-    return float(np.exp(eta))
-
-
-def taxon_log_lik(
-    y_col: np.ndarray,
-    r_col: np.ndarray,
-    params: TaxonParams,
-    s: SizeFactors,
-    X: CovariateMatrix,
-    groups: GroupAssignment,
-) -> float:
-    """Log likelihood of one taxon's column: NB terms over the samples not
-    flagged as structural zeros; flagged samples contribute nothing."""
-    y_col = np.asarray(y_col, dtype=np.int64)
-    r_col = np.asarray(r_col, dtype=np.int8)
-    if np.any((r_col == 1) & (y_col != 0)):
-        raise InconsistentZeroIndicator("r=1 requires y=0")
-    keep = r_col == 0
-    if not np.any(keep):
-        return 0.0
-    eta = (
-        params.mu0
-        + params.gamma * params.mu_k[groups.zero_based()]
-        + X.values @ params.beta
-    )
-    lam = s.values * np.exp(eta)
-    return float(np.sum(nb_log_pmf(y_col[keep], lam[keep], params.phi)))
-
-
-@dataclass(frozen=True)
-class PriorTerms:
-    """Log prior density split by parameter block."""
-
-    mu0: float
-    mu: float
-    beta: float
-    phi: float
-
-    def total(self) -> float:
-        return self.mu0 + self.mu + self.beta + self.phi
-
-
-def log_prior_terms(params: TaxonParams, hp: Hyperparameters) -> PriorTerms:
-    """Evaluate the continuous prior components at the current values.
-
-    Slots switched off by their indicators are point masses and contribute
-    exactly zero.
-    """
-    df = 2.0 * hp.a_t
-    scale_sq = hp.b_t / hp.a_t
-    mu0_term = float(log_normal_density(params.mu0, hp.sigma0_sq))
-    mu_term = 0.0
-    if params.gamma == 1:
-        for k in range(params.n_groups):
-            if k == params.reference_group - 1:
-                continue
-            mu_term += float(log_t_density(params.mu_k[k], df, scale_sq))
-    beta_term = float(np.sum(log_t_density(params.beta[params.delta == 1], df, scale_sq)))
-    phi_term = float(log_gamma_density(params.phi, hp.a_phi, hp.b_phi))
-    return PriorTerms(mu0=mu0_term, mu=mu_term, beta=beta_term, phi=phi_term)

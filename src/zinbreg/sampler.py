@@ -20,11 +20,14 @@ Everything a chain does is a pure function of (data, size factors,
 hyperparameters, proposal scales, chain config); identical seeds give
 bit-identical traces regardless of how chains are scheduled.
 
-The likelihood ratio of every move touches only the affected matrix
-cells, and moves that are conditionally independent across features are
+Every likelihood term goes through the one negative binomial kernel of
+``likelihood.py``, summed per feature column by ``_Engine._col_ll``. The
+likelihood ratio of every move touches only the affected matrix cells,
+and moves that are conditionally independent across features are
 evaluated in single vectorized passes; the one sequential scan (the
 discrimination add-delete, coupled across features by the collapsed
 prior) precomputes its likelihood ratios in a vectorized pass as well.
+Tests drive ``_Engine`` directly, one step at a time.
 """
 
 from __future__ import annotations
@@ -38,20 +41,14 @@ import numpy as np
 from scipy.special import betaln, gammaln, log_ndtr, ndtr, ndtri
 
 from .data import Dataset, Hyperparameters, ProposalScales
-from .errors import EmptyTrace, NumericalFailure
-from .likelihood import TaxonParams, log_normal_density, log_t_density
+from .errors import EmptyTrace, NumericalFailure, UsageError
+from .likelihood import log_normal_density, log_t_density, nb_kernel, nb_phi_terms
 from .normalization import SizeFactors, estimate_css
 
 __all__ = [
     "ChainConfig",
     "ModelState",
     "ChainTrace",
-    "init_state",
-    "update_r",
-    "update_mu0",
-    "update_gamma_mu",
-    "update_delta_beta",
-    "update_phi",
     "run_chain",
     "run_chains_parallel",
     "zero_indicator_prob",
@@ -60,7 +57,7 @@ __all__ = [
 
 THREADS_ENV_VAR = "ZINBREG_THREADS"
 
-# Linear predictors are clipped here before exponentiation; combined with
+# Linear predictors are clipped here before they enter the kernel; with
 # log-space addition this keeps every likelihood term finite for any
 # finite parameter value.
 _ETA_CLIP = 700.0
@@ -132,18 +129,6 @@ class ModelState:
         assert np.all(self.beta[self.delta == 0] == 0.0), "effects left over at delta=0"
         assert np.all(self.phi > 0), "nonpositive dispersion"
 
-    def taxon(self, j: int, reference_group: int = 1) -> TaxonParams:
-        """View of one feature's parameters as a validated bundle."""
-        return TaxonParams(
-            mu0=float(self.mu0[j]),
-            mu_k=self.mu[:, j],
-            beta=self.beta[:, j],
-            phi=float(self.phi[j]),
-            gamma=int(self.gamma[j]),
-            delta=self.delta[:, j],
-            reference_group=reference_group,
-        )
-
 
 @dataclass
 class ChainTrace:
@@ -196,7 +181,6 @@ class _Engine:
         self.n, self.p = y.shape
         self.R = data.n_covariates
         self.K = data.n_groups
-        self.y = y
         self.yf = y.astype(np.float64)
         self.x = data.covariates.values
         self.z0 = data.groups.zero_based()
@@ -205,6 +189,10 @@ class _Engine:
         self.s = size_factors.values
         self.log_s = np.log(self.s)
         self.zero_rows, self.zero_cols = np.nonzero(y == 0)
+        # sum of lgamma(y + 1) over the cells not flagged as extra zeros:
+        # only zero cells can be flagged and they add nothing, so it is a
+        # constant of the data
+        self.log_y_fact = float(gammaln(self.yf + 1.0).sum())
         self.group_rows = [np.flatnonzero(self.z0 == k) for k in range(self.K)]
         self.hp = hp
         self.prior_only = prior_only
@@ -240,46 +228,36 @@ class _Engine:
         return state.mu[self.z0, :]
 
     def _eta(self, state: ModelState) -> np.ndarray:
-        return np.clip(state.mu0[None, :] + self._mu_z(state) + self.xb, -_ETA_CLIP, _ETA_CLIP)
+        return state.mu0[None, :] + self._mu_z(state) + self.xb
 
-    def _cols_ll(self, eta: np.ndarray, phi: np.ndarray, log_phi: np.ndarray) -> np.ndarray:
-        """Per-column log likelihood over non-structural-zero cells, up to
-        terms constant in everything but the linear predictor."""
-        loglam = self.log_s[:, None] + eta
-        la = np.logaddexp(loglam, log_phi[None, :])
-        t = self.yf * loglam - (self.yf + phi[None, :]) * la
-        t *= self.active
+    def _col_ll(self, eta, phi, rows=None, cols=None) -> np.ndarray:
+        """Per-column sum of the NB kernel over the cells not flagged as
+        extra zeros, on the rows x cols block (all rows / all columns when
+        None). ``eta`` is the block's linear predictor and ``phi`` the
+        full dispersion vector."""
+        y, active, log_s = self.yf, self.active, self.log_s
+        if cols is not None:
+            y, active, phi = y[:, cols], active[:, cols], phi[cols]
+        if rows is not None:
+            y, active, log_s = y[rows], active[rows], log_s[rows]
+        loglam = log_s[:, None] + np.clip(eta, -_ETA_CLIP, _ETA_CLIP)
+        t = nb_kernel(y, loglam, phi[None, :])
+        t *= active
         return t.sum(axis=0)
 
-    def _subcols_ll(self, rows, cols, eta_sub, phi_cols, log_phi_cols) -> np.ndarray:
-        ix = np.ix_(rows, cols)
-        loglam = self.log_s[rows, None] + eta_sub
-        la = np.logaddexp(loglam, log_phi_cols[None, :])
-        t = self.yf[ix] * loglam - (self.yf[ix] + phi_cols[None, :]) * la
-        t *= self.active[ix]
-        return t.sum(axis=0)
-
-    def _phi_cols_ll(self, loglam: np.ndarray, phi: np.ndarray, log_phi: np.ndarray) -> np.ndarray:
-        """Per-column phi-dependent likelihood terms (lam held fixed)."""
-        la = np.logaddexp(loglam, log_phi[None, :])
-        t = gammaln(self.yf + phi[None, :]) - (self.yf + phi[None, :]) * la
+    def _phi_ll(self, phi: np.ndarray) -> np.ndarray:
+        """Per-column sum of the dispersion-only NB terms over the cells not
+        flagged as extra zeros."""
+        t = nb_phi_terms(self.yf, phi[None, :])
         t *= self.active
-        n_act = self.active.sum(axis=0)
-        return t.sum(axis=0) + n_act * (phi * log_phi - gammaln(phi))
+        return t.sum(axis=0)
 
     def log_posterior(self, state: ModelState) -> float:
         """Full log posterior up to an additive constant (diagnostics)."""
         hp = self.hp
-        loglam = self.log_s[:, None] + self._eta(state)
-        la = np.logaddexp(loglam, np.log(state.phi)[None, :])
-        t = (
-            gammaln(self.yf + state.phi[None, :])
-            - gammaln(self.yf + 1.0)
-            - gammaln(state.phi)[None, :]
-            + state.phi[None, :] * (np.log(state.phi)[None, :] - la)
-            + self.yf * (loglam - la)
-        )
-        ll = float((t * self.active).sum())
+        ll = float(
+            (self._col_ll(self._eta(state), state.phi) + self._phi_ll(state.phi)).sum()
+        ) - self.log_y_fact
         lp = float(np.sum(log_normal_density(state.mu0, hp.sigma0_sq)))
         act = state.gamma == 1
         for k in self.nonref:
@@ -342,11 +320,8 @@ class _Engine:
         if self.prior_only:
             p1 = hp.a_pi / (hp.a_pi + hp.b_pi)
         else:
-            eta = self._eta(state)
-            loglam0 = self.log_s[self.zero_rows] + eta[self.zero_rows, self.zero_cols]
-            phi0 = state.phi[self.zero_cols]
-            log_nb0 = phi0 * (np.log(phi0) - np.logaddexp(loglam0, np.log(phi0)))
-            p1 = hp.a_pi / (hp.a_pi + hp.b_pi * np.exp(log_nb0))
+            loglam0 = self.log_s[self.zero_rows] + self._eta(state)[self.zero_rows, self.zero_cols]
+            p1 = zero_indicator_prob(loglam0, state.phi[self.zero_cols], hp.a_pi, hp.b_pi)
         rnew = u < p1
         state.r[self.zero_rows, self.zero_cols] = rnew
         self.active[self.zero_rows, self.zero_cols] = ~rnew
@@ -362,14 +337,7 @@ class _Engine:
             llr = 0.0
         else:
             base = self._mu_z(state) + self.xb
-            phi, log_phi = state.phi, np.log(state.phi)
-            cur = self._cols_ll(
-                np.clip(state.mu0[None, :] + base, -_ETA_CLIP, _ETA_CLIP), phi, log_phi
-            )
-            new = self._cols_ll(
-                np.clip(prop[None, :] + base, -_ETA_CLIP, _ETA_CLIP), phi, log_phi
-            )
-            llr = new - cur
+            llr = self._col_ll(prop + base, state.phi) - self._col_ll(state.mu0 + base, state.phi)
         lpr = (np.square(state.mu0) - np.square(prop)) / (2.0 * self.hp.sigma0_sq)
         accept = log_u < llr + lpr
         state.mu0[accept] = prop[accept]
@@ -388,15 +356,14 @@ class _Engine:
         if self.prior_only:
             llr = np.zeros(p)
         else:
-            phi, log_phi = state.phi, np.log(state.phi)
-            base = state.mu0[None, :] + self.xb
-            eta_cur = np.clip(base + self._mu_z(state), -_ETA_CLIP, _ETA_CLIP)
+            base = state.mu0 + self.xb
             flip = np.zeros((self.K, p))
             on = state.gamma.astype(bool)
             for i, k in enumerate(nonref):
                 flip[k] = np.where(on, 0.0, prop[i])
-            eta_flip = np.clip(base + flip[self.z0, :], -_ETA_CLIP, _ETA_CLIP)
-            llr = self._cols_ll(eta_flip, phi, log_phi) - self._cols_ll(eta_cur, phi, log_phi)
+            llr = self._col_ll(base + flip[self.z0, :], state.phi) - self._col_ll(
+                base + self._mu_z(state), state.phi
+            )
 
         t_prop = log_t_density(prop, self.t_df, self.t_scale_sq).sum(axis=0)
         q_prop = log_normal_density(prop, self.tau_mu**2).sum(axis=0)
@@ -449,22 +416,10 @@ class _Engine:
                 llr_w = 0.0
             else:
                 rows = self.group_rows[k]
-                phi_c = state.phi[act]
-                log_phi_c = np.log(phi_c)
-                base_sub = (
-                    state.mu0[act][None, :] + self.xb[np.ix_(rows, act)]
+                base_sub = state.mu0[act] + self.xb[np.ix_(rows, act)]
+                llr_w = self._col_ll(base_sub + prp, state.phi, rows, act) - self._col_ll(
+                    base_sub + cur, state.phi, rows, act
                 )
-                cur_ll = self._subcols_ll(
-                    rows, act,
-                    np.clip(base_sub + cur[None, :], -_ETA_CLIP, _ETA_CLIP),
-                    phi_c, log_phi_c,
-                )
-                new_ll = self._subcols_ll(
-                    rows, act,
-                    np.clip(base_sub + prp[None, :], -_ETA_CLIP, _ETA_CLIP),
-                    phi_c, log_phi_c,
-                )
-                llr_w = new_ll - cur_ll
             lpr = log_t_density(prp, self.t_df, self.t_scale_sq) - log_t_density(
                 cur, self.t_df, self.t_scale_sq
             )
@@ -490,12 +445,9 @@ class _Engine:
         if self.prior_only:
             llr = np.zeros(p)
         else:
-            phi, log_phi = state.phi, np.log(state.phi)
-            base = state.mu0[None, :] + self._mu_z(state)
-            eta_cur = np.clip(base + self.xb, -_ETA_CLIP, _ETA_CLIP)
-            xb_new = self.xb + self.x[:, pick] * (new_b - old_b)[None, :]
-            eta_new = np.clip(base + xb_new, -_ETA_CLIP, _ETA_CLIP)
-            llr = self._cols_ll(eta_new, phi, log_phi) - self._cols_ll(eta_cur, phi, log_phi)
+            base = state.mu0 + self._mu_z(state)
+            xb_new = self.xb + self.x[:, pick] * (new_b - old_b)
+            llr = self._col_ll(base + xb_new, state.phi) - self._col_ll(base + self.xb, state.phi)
 
         s_delta = state.delta.sum(axis=0).astype(np.float64)
         lr = np.empty(p)
@@ -535,22 +487,11 @@ class _Engine:
             if self.prior_only:
                 llr_w = 0.0
             else:
-                rows = np.arange(self.n)
-                phi_c = state.phi[act]
-                log_phi_c = np.log(phi_c)
-                base_sub = (
-                    state.mu0[act][None, :]
-                    + state.mu[self.z0][:, act]
-                    + self.xb[:, act]
+                base_sub = state.mu0[act] + self._mu_z(state)[:, act] + self.xb[:, act]
+                dx = self.x[:, r_idx][:, None] * step
+                llr_w = self._col_ll(base_sub + dx, state.phi, cols=act) - self._col_ll(
+                    base_sub, state.phi, cols=act
                 )
-                dx = self.x[:, r_idx][:, None] * step[None, :]
-                cur_ll = self._subcols_ll(
-                    rows, act, np.clip(base_sub, -_ETA_CLIP, _ETA_CLIP), phi_c, log_phi_c
-                )
-                new_ll = self._subcols_ll(
-                    rows, act, np.clip(base_sub + dx, -_ETA_CLIP, _ETA_CLIP), phi_c, log_phi_c
-                )
-                llr_w = new_ll - cur_ll
             lpr = log_t_density(prp, self.t_df, self.t_scale_sq) - log_t_density(
                 cur, self.t_df, self.t_scale_sq
             )
@@ -576,9 +517,9 @@ class _Engine:
         if self.prior_only:
             llr = 0.0
         else:
-            loglam = self.log_s[:, None] + self._eta(state)
-            llr = self._phi_cols_ll(loglam, prop_safe, np.log(prop_safe)) - self._phi_cols_ll(
-                loglam, state.phi, np.log(state.phi)
+            eta = self._eta(state)
+            llr = (self._col_ll(eta, prop_safe) + self._phi_ll(prop_safe)) - (
+                self._col_ll(eta, state.phi) + self._phi_ll(state.phi)
             )
         lpr = (hp.a_phi - 1.0) * (np.log(prop_safe) - np.log(state.phi)) - hp.b_phi * (
             prop_safe - state.phi
@@ -617,71 +558,18 @@ class _Engine:
             self._window_acc[m] = 0
 
 
-def _engine_for(data, hp, size_factors, scales=None, prior_only=False) -> _Engine:
-    sf = size_factors if size_factors is not None else estimate_css(data.counts)
-    return _Engine(data, sf, hp, scales or ProposalScales(), prior_only)
-
-
-def init_state(
-    data: Dataset,
-    hp: Hyperparameters,
-    rng: np.random.Generator,
-    size_factors: SizeFactors | None = None,
-) -> ModelState:
-    """Draw the randomized starting configuration.
-
-    Indicators start at independent fair coin flips, baselines at the log
-    normalized mean count, active coefficients at standard normal draws,
-    dispersions at 10, and extra-zero indicators at coin flips over the
-    observed zeros.
-    """
-    return _engine_for(data, hp, size_factors).init_state(rng)
-
-
-def _single_step(step_name, state, data, hp, scales, rng, size_factors, prior_only):
-    eng = _engine_for(data, hp, size_factors, scales, prior_only)
-    eng.attach(state)
-    getattr(eng, step_name)(state, rng)
-    return state
-
-
-def update_r(state, data, hp, rng, size_factors=None, prior_only=False) -> ModelState:
-    """Redraw the extra-zero indicators at cells with an observed zero."""
-    return _single_step("step_r", state, data, hp, None, rng, size_factors, prior_only)
-
-
-def update_mu0(state, data, hp, scales, rng, size_factors=None, prior_only=False) -> ModelState:
-    """Random-walk Metropolis update of every feature baseline."""
-    return _single_step("step_mu0", state, data, hp, scales, rng, size_factors, prior_only)
-
-
-def update_gamma_mu(state, data, hp, scales, rng, size_factors=None, prior_only=False) -> ModelState:
-    """Add-delete move on each discrimination indicator plus within-model
-    walks on the active group shifts."""
-    return _single_step("step_gamma_mu", state, data, hp, scales, rng, size_factors, prior_only)
-
-
-def update_delta_beta(state, data, hp, scales, rng, size_factors=None, prior_only=False) -> ModelState:
-    """Add-delete move on one covariate slot per feature plus within-model
-    walks on the active effects."""
-    return _single_step("step_delta_beta", state, data, hp, scales, rng, size_factors, prior_only)
-
-
-def update_phi(state, data, hp, scales, rng, size_factors=None, prior_only=False) -> ModelState:
-    """Truncated-normal random-walk update of every dispersion."""
-    return _single_step("step_phi", state, data, hp, scales, rng, size_factors, prior_only)
-
-
-def zero_indicator_prob(lam, phi, a_pi: float, b_pi: float):
-    """Conditional probability that an observed zero is an extra zero.
+def zero_indicator_prob(loglam, phi, a_pi: float, b_pi: float):
+    """Conditional probability that an observed zero with log mean
+    ``loglam`` and dispersion ``phi`` is an extra zero.
 
     The two unnormalized weights are the Beta-function ratios of the
     collapsed per-entry prior, the r=0 one additionally carrying the NB
     mass at zero.
     """
-    lam = np.asarray(lam, dtype=np.float64)
+    loglam = np.asarray(loglam, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
-    log_nb0 = phi * (np.log(phi) - np.logaddexp(np.log(lam), np.log(phi)))
+    # at y=0 the dispersion-only terms reduce to phi*log(phi)
+    log_nb0 = nb_kernel(0.0, loglam, phi) + phi * np.log(phi)
     out = a_pi / (a_pi + b_pi * np.exp(log_nb0))
     return out if out.ndim else float(out)
 
@@ -792,9 +680,19 @@ def _chain_worker(args):
 
 
 def default_max_workers() -> int:
+    """Worker cap: ``ZINBREG_THREADS`` when set, else the CPUs this process
+    may run on."""
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
-        return max(1, int(env))
+        try:
+            value = int(env)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise UsageError(f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}")
+        return value
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -6,9 +6,13 @@ library code paths it checks.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, stats
+from scipy.special import betaln, gammaln
+
+from zinbreg.errors import DomainError, InconsistentZeroIndicator
 
 
 def percentile_type2(values, q):
@@ -189,3 +193,140 @@ def zero_indicator_prob(lam, phi, a_pi, b_pi):
     w1 = a_pi / (a_pi + b_pi)
     w0 = nb0 * b_pi / (a_pi + b_pi)
     return w1 / (w0 + w1)
+
+
+@dataclass(frozen=True)
+class TaxonParams:
+    """One feature's model parameters.
+
+    ``mu_k`` holds one entry per group, with the reference group pinned at
+    zero. Indicator consistency (zero coefficients for switched-off
+    indicators) is enforced at construction.
+    """
+
+    mu0: float
+    mu_k: np.ndarray
+    beta: np.ndarray
+    phi: float
+    gamma: int
+    delta: np.ndarray
+    reference_group: int = 1
+
+    def __post_init__(self):
+        mu_k = np.array(self.mu_k, dtype=np.float64)
+        beta = np.array(self.beta, dtype=np.float64)
+        delta = np.array(self.delta, dtype=np.int8)
+        object.__setattr__(self, "mu_k", mu_k)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "delta", delta)
+        if self.gamma not in (0, 1) or np.any((delta != 0) & (delta != 1)):
+            raise DomainError("gamma and delta must be binary")
+        if not (np.isfinite(self.phi) and self.phi > 0):
+            raise DomainError(f"phi must be strictly positive, got {self.phi}")
+        if beta.shape != delta.shape:
+            raise DomainError("beta and delta must have the same length")
+        if not 1 <= self.reference_group <= mu_k.shape[0]:
+            raise DomainError("reference group index outside 1..K")
+        if mu_k[self.reference_group - 1] != 0.0:
+            raise DomainError("mu_k must be zero for the reference group")
+        if self.gamma == 0 and np.any(mu_k != 0.0):
+            raise DomainError("gamma=0 requires all group shifts to be zero")
+        if np.any((delta == 0) & (beta != 0.0)):
+            raise DomainError("delta=0 requires the matching beta to be zero")
+
+    @property
+    def n_groups(self):
+        return self.mu_k.shape[0]
+
+
+def taxon(state, j, reference_group=1, **overrides):
+    """Column ``j`` of a sampler state as TaxonParams, with any field
+    replaced by a keyword argument."""
+    fields = dict(
+        mu0=float(state.mu0[j]), mu_k=state.mu[:, j], beta=state.beta[:, j],
+        phi=float(state.phi[j]), gamma=int(state.gamma[j]), delta=state.delta[:, j],
+        reference_group=reference_group,
+    )
+    fields.update(overrides)
+    return TaxonParams(**fields)
+
+
+def mean_alpha(params, x_row, group):
+    """Normalized abundance exp(mu0 + gamma*mu_k[group] + x.beta) for one
+    sample; the NB mean is the size factor times this."""
+    if not 1 <= group <= params.n_groups:
+        raise DomainError(f"group {group} outside 1..{params.n_groups}")
+    eta = params.mu0 + params.gamma * params.mu_k[group - 1] + float(np.dot(x_row, params.beta))
+    return math.exp(eta)
+
+
+def taxon_log_lik(y_col, r_col, params, s, X, groups):
+    """Log likelihood of one feature's column, sample by sample: NB mass
+    (scipy's nbinom) over the samples not flagged as extra zeros."""
+    y_col = np.asarray(y_col, dtype=np.int64)
+    r_col = np.asarray(r_col, dtype=np.int8)
+    if np.any((r_col == 1) & (y_col != 0)):
+        raise InconsistentZeroIndicator("r=1 requires y=0")
+    total = 0.0
+    for i in range(y_col.size):
+        if r_col[i]:
+            continue
+        lam = s.values[i] * mean_alpha(params, X.values[i], int(groups.labels[i]))
+        total += float(stats.nbinom.logpmf(y_col[i], params.phi, params.phi / (lam + params.phi)))
+    return total
+
+
+def log_gamma_density(x, shape, rate):
+    """Log density of a shape-rate gamma at x > 0."""
+    return shape * np.log(rate) - gammaln(shape) + (shape - 1.0) * np.log(x) - rate * x
+
+
+@dataclass(frozen=True)
+class PriorTerms:
+    """Log prior density of one feature, split by parameter block."""
+
+    mu0: float
+    mu: float
+    beta: float
+    phi: float
+
+    def total(self):
+        return self.mu0 + self.mu + self.beta + self.phi
+
+
+def log_prior_terms(params, hp):
+    """Continuous prior components at the current values; slots switched
+    off by their indicators are point masses and contribute zero."""
+    t_slab = stats.t(2.0 * hp.a_t, scale=math.sqrt(hp.b_t / hp.a_t))
+    mu0_term = float(stats.norm.logpdf(params.mu0, scale=math.sqrt(hp.sigma0_sq)))
+    mu_term = 0.0
+    if params.gamma == 1:
+        for k in range(params.n_groups):
+            if k != params.reference_group - 1:
+                mu_term += float(t_slab.logpdf(params.mu_k[k]))
+    beta_term = float(sum(t_slab.logpdf(b) for b in params.beta[params.delta == 1]))
+    phi_term = float(log_gamma_density(params.phi, hp.a_phi, hp.b_phi))
+    return PriorTerms(mu0=mu0_term, mu=mu_term, beta=beta_term, phi=phi_term)
+
+
+def log_posterior(state, ds, sf, hp):
+    """Log posterior of a sampler state, feature by feature: likelihood and
+    continuous priors from the functions above, plus the collapsed
+    Beta-Bernoulli terms of the three indicator families (the extra-zero
+    indicators counted at the observed zeros)."""
+    ref = ds.groups.reference_group
+    y = ds.counts.counts
+    total = 0.0
+    for j in range(ds.p):
+        params = taxon(state, j, ref)
+        total += taxon_log_lik(y[:, j], state.r[:, j], params, sf, ds.covariates, ds.groups)
+        total += log_prior_terms(params, hp).total()
+        s_j = int(state.delta[:, j].sum())
+        total += betaln(hp.a_p + s_j, hp.b_p + ds.n_covariates - s_j) - betaln(hp.a_p, hp.b_p)
+    s_gamma = int(state.gamma.sum())
+    total += betaln(hp.a_omega + s_gamma, hp.b_omega + ds.p - s_gamma)
+    total -= betaln(hp.a_omega, hp.b_omega)
+    for i, j in zip(*np.nonzero(y == 0)):
+        r = int(state.r[i, j])
+        total += betaln(hp.a_pi + r, hp.b_pi + 1 - r) - betaln(hp.a_pi, hp.b_pi)
+    return total

@@ -278,3 +278,58 @@ def test_fit_numerical_failure_exit_code(tiny_files, tmp_path, monkeypatch):
     src, *_ = tiny_files
     code = main(_fit_args(src, tmp_path / "numfail"))
     assert code == 4
+
+
+def test_sim_study_refuses_trace_dump_flag(tmp_path, capsys):
+    code = main(["sim-study", "--replicates", "1", "--trace-dump",
+                 "--out", str(tmp_path / "study")])
+    assert code == 1
+    assert "only fit writes traces" in capsys.readouterr().err
+    assert not (tmp_path / "study").exists()
+
+
+def test_sim_study_refuses_trace_dump_config_key(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("trace_dump = true\n")
+    code = main(["sim-study", "--config", str(conf), "--out", str(tmp_path / "study")])
+    assert code == 1
+    assert "only fit writes traces" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_threads_env_is_usage_error(tiny_files, tmp_path, monkeypatch, capsys, value):
+    src, *_ = tiny_files
+    monkeypatch.setenv("ZINBREG_THREADS", value)
+    assert main(_fit_args(src, tmp_path / "fit")) == 1
+    assert "ZINBREG_THREADS" in capsys.readouterr().err
+    study = ["sim-study", "--replicates", "1", "--out", str(tmp_path / "study")]
+    assert main(study) == 1
+
+
+def test_default_max_workers_follows_env_then_affinity(monkeypatch):
+    import os
+
+    from zinbreg import sampler
+
+    monkeypatch.setenv("ZINBREG_THREADS", "3")
+    assert sampler.default_max_workers() == 3
+    monkeypatch.delenv("ZINBREG_THREADS")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert sampler.default_max_workers() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert sampler.default_max_workers() == 8
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import zinbreg
+
+    env = dict(os.environ, PYTHONPATH=str(Path(zinbreg.__file__).parents[1]))
+    code = "import sys, zinbreg.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

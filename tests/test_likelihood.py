@@ -8,18 +8,16 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import poisson
 
 import _oracles as oracle
-from zinbreg.data import CovariateMatrix, GroupAssignment, Hyperparameters
-from zinbreg.errors import DomainError, InconsistentZeroIndicator
-from zinbreg.likelihood import (
+from _oracles import (
     TaxonParams,
     log_gamma_density,
     log_prior_terms,
-    log_t_density,
     mean_alpha,
-    nb_log_pmf,
     taxon_log_lik,
-    zinb_log_pmf,
 )
+from zinbreg.data import CovariateMatrix, GroupAssignment, Hyperparameters
+from zinbreg.errors import DomainError, InconsistentZeroIndicator
+from zinbreg.likelihood import log_t_density, nb_log_pmf, zinb_log_pmf
 from zinbreg.normalization import SizeFactors
 
 

@@ -19,11 +19,8 @@ from zinbreg.sampler import (
     ChainConfig,
     ModelState,
     _Engine,
-    init_state,
     run_chain,
     run_chains_parallel,
-    update_mu0,
-    update_r,
     zero_indicator_prob,
 )
 from zinbreg.simulate import generate_zinb
@@ -31,6 +28,18 @@ from zinbreg.simulate import generate_zinb
 
 HP = Hyperparameters()
 SCALES = ProposalScales()
+
+
+def _engine(ds, sf=None, hp=HP, prior_only=False, scales=SCALES):
+    """An engine on ``ds``; size factors default to CSS."""
+    sf = sf if sf is not None else estimate_css(ds.counts)
+    return _Engine(ds, sf, hp, scales, prior_only)
+
+
+def _start(ds, seed, sf=None, hp=HP, scales=SCALES):
+    """An engine on ``ds`` and a starting state drawn from ``seed``."""
+    eng = _engine(ds, sf, hp, scales=scales)
+    return eng, eng.init_state(np.random.default_rng(seed))
 
 
 def _trace_arrays(trace):
@@ -47,23 +56,23 @@ def assert_traces_equal(a, b):
 
 
 def test_init_state_deterministic(tiny_dataset):
-    s1 = init_state(tiny_dataset, HP, np.random.default_rng(5))
-    s2 = init_state(tiny_dataset, HP, np.random.default_rng(5))
+    _, s1 = _start(tiny_dataset, 5)
+    _, s2 = _start(tiny_dataset, 5)
     np.testing.assert_array_equal(s1.gamma, s2.gamma)
     np.testing.assert_array_equal(s1.r, s2.r)
     np.testing.assert_array_equal(s1.mu, s2.mu)
 
 
 def test_init_state_respects_zero_structure(tiny_dataset):
-    state = init_state(tiny_dataset, HP, np.random.default_rng(1))
+    _, state = _start(tiny_dataset, 1)
     y = tiny_dataset.counts.counts
     assert np.all(state.r[y > 0] == 0)
     state.check(y)
 
 
 def test_init_state_distinct_seeds_differ(tiny_dataset):
-    s1 = init_state(tiny_dataset, HP, np.random.default_rng(1))
-    s2 = init_state(tiny_dataset, HP, np.random.default_rng(2))
+    _, s1 = _start(tiny_dataset, 1)
+    _, s2 = _start(tiny_dataset, 2)
     assert not np.array_equal(s1.gamma, s2.gamma) or not np.array_equal(s1.r, s2.r)
 
 
@@ -74,18 +83,18 @@ def test_zero_indicator_prob_matches_enumeration_oracle():
         phi = float(rng.uniform(0.1, 20))
         a_pi = float(rng.uniform(0.2, 3))
         b_pi = float(rng.uniform(0.2, 3))
-        assert zero_indicator_prob(lam, phi, a_pi, b_pi) == pytest.approx(
+        assert zero_indicator_prob(np.log(lam), phi, a_pi, b_pi) == pytest.approx(
             oracle.zero_indicator_prob(lam, phi, a_pi, b_pi), rel=1e-12
         )
 
 
 def test_zero_indicator_prob_unit_case_two_thirds():
     # a_pi=b_pi=1, phi=1, s*alpha=1: NB(0)=1/2, so P(r=1) = 1/(1+1/2) = 2/3
-    assert zero_indicator_prob(1.0, 1.0, 1.0, 1.0) == pytest.approx(2.0 / 3.0)
+    assert zero_indicator_prob(0.0, 1.0, 1.0, 1.0) == pytest.approx(2.0 / 3.0)
 
 
 def test_zero_indicator_prob_saturates_at_one():
-    assert zero_indicator_prob(1e12, 1.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-6)
+    assert zero_indicator_prob(np.log(1e12), 1.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-6)
 
 
 def _all_zero_column_dataset(n=30):
@@ -98,9 +107,11 @@ def _all_zero_column_dataset(n=30):
     return Dataset(counts=counts, covariates=covs, groups=groups)
 
 
-def test_update_r_empirical_two_thirds():
+def _step_r_rate(hp, seed, prior_only=False, sweeps=4000):
+    """Mean extra-zero indicator over repeated r steps on the all-zero
+    column at mu0=0, phi=1."""
     ds = _all_zero_column_dataset()
-    sf = SizeFactors(np.ones(ds.n), "css")
+    eng = _engine(ds, SizeFactors(np.ones(ds.n), "css"), hp, prior_only)
     state = ModelState(
         r=np.zeros((ds.n, 1), dtype=np.int8),
         mu0=np.zeros(1),
@@ -110,40 +121,26 @@ def test_update_r_empirical_two_thirds():
         delta=np.zeros((0, 1), dtype=np.int8),
         phi=np.ones(1),
     )
-    rng = np.random.default_rng(11)
+    eng.attach(state)
+    rng = np.random.default_rng(seed)
     total = 0
-    sweeps = 4000
     for _ in range(sweeps):
-        update_r(state, ds, HP, rng, size_factors=sf)
+        eng.step_r(state, rng)
         total += int(state.r.sum())
-    assert total / (sweeps * ds.n) == pytest.approx(2.0 / 3.0, abs=0.01)
+    return total / (sweeps * ds.n)
 
 
-def test_update_r_prior_only_matches_beta_mean():
-    ds = _all_zero_column_dataset()
-    sf = SizeFactors(np.ones(ds.n), "css")
+def test_step_r_empirical_two_thirds():
+    assert _step_r_rate(HP, 11) == pytest.approx(2.0 / 3.0, abs=0.01)
+
+
+def test_step_r_prior_only_matches_beta_mean():
     hp = Hyperparameters(a_pi=2.0, b_pi=6.0)
-    state = ModelState(
-        r=np.zeros((ds.n, 1), dtype=np.int8),
-        mu0=np.zeros(1),
-        mu=np.zeros((1, 1)),
-        beta=np.zeros((0, 1)),
-        gamma=np.zeros(1, dtype=np.int8),
-        delta=np.zeros((0, 1), dtype=np.int8),
-        phi=np.ones(1),
-    )
-    rng = np.random.default_rng(12)
-    total = 0
-    sweeps = 4000
-    for _ in range(sweeps):
-        update_r(state, ds, hp, rng, size_factors=sf, prior_only=True)
-        total += int(state.r.sum())
-    assert total / (sweeps * ds.n) == pytest.approx(0.25, abs=0.01)
+    assert _step_r_rate(hp, 12, prior_only=True) == pytest.approx(0.25, abs=0.01)
 
 
 def test_state_invariants_hold_after_sweeps(tiny_dataset):
-    sf = estimate_css(tiny_dataset.counts)
-    eng = _Engine(tiny_dataset, sf, HP, SCALES)
+    eng = _engine(tiny_dataset)
     rng = np.random.default_rng(21)
     state = eng.init_state(rng)
     for _ in range(30):
@@ -260,18 +257,9 @@ def test_group_label_equivariance_three_groups():
     np.testing.assert_allclose(m_orig[2], m_swap[1], atol=0.3)
 
 
-def test_taxon_view_matches_state(tiny_dataset):
-    state = init_state(tiny_dataset, HP, np.random.default_rng(44))
-    params = state.taxon(0)
-    assert params.mu0 == state.mu0[0]
-    assert params.gamma == state.gamma[0]
-    np.testing.assert_array_equal(params.beta, state.beta[:, 0])
-
-
-def test_update_mu0_identity_proposal_always_accepts(tiny_dataset, monkeypatch):
+def test_step_mu0_identity_proposal_always_accepts(tiny_dataset):
     # forcing the random-walk step to zero makes the MH ratio exactly one
-    sf = estimate_css(tiny_dataset.counts)
-    state = init_state(tiny_dataset, HP, np.random.default_rng(3), size_factors=sf)
+    eng, state = _start(tiny_dataset, 3)
     before = state.mu0.copy()
 
     class FixedRng:
@@ -284,8 +272,9 @@ def test_update_mu0_identity_proposal_always_accepts(tiny_dataset, monkeypatch):
         def random(self, size=None):
             return self.inner.random(size)
 
-    update_mu0(state, tiny_dataset, HP, SCALES, FixedRng(), size_factors=sf)
+    eng.step_mu0(state, FixedRng())
     np.testing.assert_array_equal(state.mu0, before)
+    assert eng.accept_counts["mu0"] == tiny_dataset.p
 
 
 def test_adaptation_changes_scales_only_during_burn_in(tiny_dataset):
@@ -305,31 +294,70 @@ def test_diagnostics_recorded(tiny_dataset):
     assert np.all(np.isfinite(trace.diagnostics["log_posterior"]))
 
 
+def _oracle_col_ll(state, ds, sf, j, **overrides):
+    """Oracle log likelihood of column ``j`` of ``state``, with any of its
+    parameters replaced by a keyword argument."""
+    params = oracle.taxon(state, j, ds.groups.reference_group, **overrides)
+    return oracle.taxon_log_lik(
+        ds.counts.counts[:, j], state.r[:, j], params, sf, ds.covariates, ds.groups
+    )
+
+
+def _naive_mu0_step(state, ds, sf, hp, scales, rng):
+    """Reference baseline walk, one feature at a time, consuming the same
+    rng draws as the engine."""
+    p, ref = ds.p, ds.groups.reference_group
+    prop = state.mu0 + scales.tau_mu0 * rng.standard_normal(p)
+    log_u = np.log(rng.random(p))
+    for j in range(p):
+        lr = (
+            _oracle_col_ll(state, ds, sf, j, mu0=prop[j]) - _oracle_col_ll(state, ds, sf, j)
+            + oracle.log_prior_terms(oracle.taxon(state, j, ref, mu0=prop[j]), hp).mu0
+            - oracle.log_prior_terms(oracle.taxon(state, j, ref), hp).mu0
+        )
+        if log_u[j] < lr:
+            state.mu0[j] = prop[j]
+
+
+def _naive_phi_step(state, ds, sf, hp, scales, rng):
+    """Reference dispersion walk with a normal proposal truncated to
+    phi > 0, one feature at a time, consuming the same rng draws as the
+    engine."""
+    from scipy.stats import norm
+
+    p, ref, tau = ds.p, ds.groups.reference_group, scales.tau_phi
+    u01 = rng.random(p)
+    log_u = np.log(rng.random(p))
+    for j in range(p):
+        phi = float(state.phi[j])
+        lo = norm.cdf(-phi / tau)
+        prop = phi + tau * norm.ppf(lo + u01[j] * (1.0 - lo))
+        if not (np.isfinite(prop) and prop > 0):
+            continue
+        lr = (
+            _oracle_col_ll(state, ds, sf, j, phi=prop) - _oracle_col_ll(state, ds, sf, j)
+            + oracle.log_prior_terms(oracle.taxon(state, j, ref, phi=prop), hp).phi
+            - oracle.log_prior_terms(oracle.taxon(state, j, ref), hp).phi
+            + norm.logcdf(phi / tau) - norm.logcdf(prop / tau)
+        )
+        if log_u[j] < lr:
+            state.phi[j] = prop
+
+
 def _naive_gamma_step(state, ds, sf, hp, scales, rng):
-    """Reference add-delete + within-model pass built on taxon_log_lik,
-    consuming the same rng draws as the engine."""
+    """Reference add-delete + within-model pass built on the oracle
+    likelihood, consuming the same rng draws as the engine."""
     import math
 
-    from zinbreg.likelihood import (
-        TaxonParams,
-        log_normal_density,
-        log_t_density,
-        taxon_log_lik,
-    )
+    from zinbreg.likelihood import log_normal_density, log_t_density
 
     p, big_k = ds.p, ds.n_groups
     ref0 = ds.groups.reference_group - 1
     nonref = [k for k in range(big_k) if k != ref0]
-    y = ds.counts.counts
     df, ssq = 2 * hp.a_t, hp.b_t / hp.a_t
 
     def col_ll(j, gamma_j, mu_col):
-        params = TaxonParams(
-            mu0=float(state.mu0[j]), mu_k=mu_col, beta=state.beta[:, j],
-            phi=float(state.phi[j]), gamma=gamma_j, delta=state.delta[:, j],
-            reference_group=ds.groups.reference_group,
-        )
-        return taxon_log_lik(y[:, j], state.r[:, j], params, sf, ds.covariates, ds.groups)
+        return _oracle_col_ll(state, ds, sf, j, gamma=gamma_j, mu_k=mu_col)
 
     perm = rng.permutation(p)
     prop = scales.tau_mu * rng.standard_normal((len(nonref), p))
@@ -382,9 +410,64 @@ def _naive_gamma_step(state, ds, sf, hp, scales, rng):
                 state.mu[k, j] = new_mu[k]
 
 
-def test_gamma_step_matches_naive_reference():
-    from zinbreg.sampler import update_gamma_mu
+def _run_against_naive(ds, step, naive, init_seed, rng_seed, sweeps=25, hp=HP,
+                       scales=SCALES):
+    """Run the engine step and its naive reference side by side from one
+    starting state on identical rng streams; returns (engine, reference)
+    states."""
+    sf = estimate_css(ds.counts)
+    eng, s_eng = _start(ds, init_seed, sf, hp, scales)
+    s_ref = s_eng.copy()
+    rng_eng = np.random.default_rng(rng_seed)
+    rng_ref = np.random.default_rng(rng_seed)
+    for _ in range(sweeps):
+        getattr(eng, step)(s_eng, rng_eng)
+        naive(s_ref, ds, sf, hp, scales, rng_ref)
+    return s_eng, s_ref
 
+
+def test_mu0_step_matches_naive_reference(tiny_dataset):
+    # a tight baseline prior, so that its ratio decides moves too
+    hp = Hyperparameters(sigma0_sq=0.5)
+    s_eng, s_ref = _run_against_naive(tiny_dataset, "step_mu0", _naive_mu0_step, 8, 9, hp=hp)
+    assert not np.array_equal(s_eng.mu0, _start(tiny_dataset, 8)[1].mu0)
+    np.testing.assert_allclose(s_eng.mu0, s_ref.mu0, rtol=0, atol=1e-10)
+
+
+def test_phi_step_matches_naive_reference(tiny_dataset):
+    # small dispersions under a wide proposal, so that the truncation
+    # correction and the prior ratio decide moves too
+    hp = Hyperparameters(a_phi=2.0, b_phi=1.0)
+    scales = ProposalScales(tau_phi=3.0)
+    s_eng, s_ref = _run_against_naive(
+        tiny_dataset, "step_phi", _naive_phi_step, 10, 11, hp=hp, scales=scales
+    )
+    assert not np.array_equal(s_eng.phi, _start(tiny_dataset, 10)[1].phi)
+    np.testing.assert_allclose(s_eng.phi, s_ref.phi, rtol=0, atol=1e-10)
+
+
+def test_log_posterior_differences_match_oracle():
+    ds = small_dataset(seed=94, n=12, p=6, n_covariates=3)
+    sf = estimate_css(ds.counts)
+    eng, s1 = _start(ds, 1, sf)
+    rng = np.random.default_rng(2)
+    states = [s1.copy()]
+    for _ in range(3):
+        eng.sweep(s1, rng)
+        states.append(s1.copy())
+    states.append(_start(ds, 3, sf)[1])
+    oracle_lp = [oracle.log_posterior(s, ds, sf, HP) for s in states]
+    engine_lp = []
+    for s in states:
+        eng.attach(s)
+        engine_lp.append(eng.log_posterior(s))
+    for a in range(1, len(states)):
+        assert engine_lp[a] - engine_lp[0] == pytest.approx(
+            oracle_lp[a] - oracle_lp[0], rel=0, abs=1e-9
+        )
+
+
+def test_gamma_step_matches_naive_reference():
     for k_groups, seed in ((2, 91), (3, 92)):
         n = 12 if k_groups == 2 else 15
         ds = small_dataset(seed=seed, n=n, p=6)
@@ -393,14 +476,9 @@ def test_gamma_step_matches_naive_reference():
             ds = validate_inputs(
                 ds.counts, ds.covariates, GroupAssignment(labels, 3)
             )
-        sf = estimate_css(ds.counts)
-        s_eng = init_state(ds, HP, np.random.default_rng(seed), size_factors=sf)
-        s_ref = s_eng.copy()
-        rng_eng = np.random.default_rng(seed + 1)
-        rng_ref = np.random.default_rng(seed + 1)
-        for _ in range(25):
-            update_gamma_mu(s_eng, ds, HP, SCALES, rng_eng, size_factors=sf)
-            _naive_gamma_step(s_ref, ds, sf, HP, SCALES, rng_ref)
+        s_eng, s_ref = _run_against_naive(
+            ds, "step_gamma_mu", _naive_gamma_step, seed, seed + 1
+        )
         np.testing.assert_array_equal(s_eng.gamma, s_ref.gamma)
         np.testing.assert_allclose(s_eng.mu, s_ref.mu, atol=1e-10)
 
@@ -408,24 +486,13 @@ def test_gamma_step_matches_naive_reference():
 def _naive_delta_step(state, ds, sf, hp, scales, rng):
     import math
 
-    from zinbreg.likelihood import (
-        TaxonParams,
-        log_normal_density,
-        log_t_density,
-        taxon_log_lik,
-    )
+    from zinbreg.likelihood import log_normal_density, log_t_density
 
     p, big_r = ds.p, ds.n_covariates
-    y = ds.counts.counts
     df, ssq = 2 * hp.a_t, hp.b_t / hp.a_t
 
     def col_ll(j, beta_col, delta_col):
-        params = TaxonParams(
-            mu0=float(state.mu0[j]), mu_k=state.mu[:, j], beta=beta_col,
-            phi=float(state.phi[j]), gamma=int(state.gamma[j]), delta=delta_col,
-            reference_group=ds.groups.reference_group,
-        )
-        return taxon_log_lik(y[:, j], state.r[:, j], params, sf, ds.covariates, ds.groups)
+        return _oracle_col_ll(state, ds, sf, j, beta=beta_col, delta=delta_col)
 
     pick = rng.integers(0, big_r, size=p)
     prop = scales.tau_beta * rng.standard_normal(p)
@@ -478,16 +545,7 @@ def _naive_delta_step(state, ds, sf, hp, scales, rng):
 
 
 def test_delta_step_matches_naive_reference():
-    from zinbreg.sampler import update_delta_beta
-
     ds = small_dataset(seed=93, n=12, p=6, n_covariates=3)
-    sf = estimate_css(ds.counts)
-    s_eng = init_state(ds, HP, np.random.default_rng(6), size_factors=sf)
-    s_ref = s_eng.copy()
-    rng_eng = np.random.default_rng(7)
-    rng_ref = np.random.default_rng(7)
-    for _ in range(25):
-        update_delta_beta(s_eng, ds, HP, SCALES, rng_eng, size_factors=sf)
-        _naive_delta_step(s_ref, ds, sf, HP, SCALES, rng_ref)
+    s_eng, s_ref = _run_against_naive(ds, "step_delta_beta", _naive_delta_step, 6, 7)
     np.testing.assert_array_equal(s_eng.delta, s_ref.delta)
     np.testing.assert_allclose(s_eng.beta, s_ref.beta, atol=1e-10)
