@@ -359,6 +359,11 @@ def _chain_seeds(base_seed: int, n_chains: int) -> list[int]:
 
 
 def _prepare_dataset(cfg: RunConfig, counts, covariates, groups) -> Dataset:
+    if groups.n_groups < 2:
+        raise DataError(
+            f"need at least 2 groups, got {groups.n_groups}: with one group the "
+            "discrimination indicators have no likelihood and their PPIs are prior noise"
+        )
     if not cfg.no_filter:
         counts = filter_low_abundance(
             counts, groups, cfg.filter_min_count, cfg.filter_min_groups
@@ -621,6 +626,7 @@ def _expand_summary(summary: PosteriorSummary, kept: list[int], p_full: int) -> 
 
 
 def sim_study_command(cfg: RunConfig) -> int:
+    _sim_config(cfg, cfg.sim_seed)  # a bad setting is a usage error, not a failed replicate
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     pool = _load_pool(cfg)

@@ -21,13 +21,20 @@ hyperparameters, proposal scales, chain config); identical seeds give
 bit-identical traces regardless of how chains are scheduled.
 
 Every likelihood term goes through the one negative binomial kernel of
-``likelihood.py``, summed per feature column by ``_Engine._col_ll``. The
-likelihood ratio of every move touches only the affected matrix cells,
-and moves that are conditionally independent across features are
-evaluated in single vectorized passes; the one sequential scan (the
-discrimination add-delete, coupled across features by the collapsed
-prior) precomputes its likelihood ratios in a vectorized pass as well.
-Tests drive ``_Engine`` directly, one step at a time.
+``likelihood.py``. ``_Engine`` keeps the current state's per-cell values
+up to date: the linear predictor ``eta``, the kernel at ``eta`` and the
+dispersion-only terms, next to the mask of cells not flagged as extra
+zeros. A move evaluates the kernel only at its proposal and only on the
+cells it touches; its log likelihood ratio is the masked column sum of
+the proposal's kernel minus the cached one, and it copies the proposal's
+cells into the cache where it accepts. The log posterior is a masked sum
+of the cache plus the priors. Prior-only chains skip the likelihood, so
+their moves leave the cache alone and the log posterior rebuilds it.
+Moves that are conditionally independent across features are evaluated
+in single vectorized passes; the one sequential scan (the discrimination
+add-delete, coupled across features by the collapsed prior) precomputes
+its likelihood ratios in a vectorized pass as well. Tests drive
+``_Engine`` directly, one step at a time.
 """
 
 from __future__ import annotations
@@ -167,7 +174,8 @@ class ChainTrace:
 
 
 class _Engine:
-    """Precomputed data views plus the five update steps."""
+    """Precomputed data views, the per-cell cache of the current state, and
+    the five update steps."""
 
     def __init__(
         self,
@@ -194,6 +202,7 @@ class _Engine:
         # constant of the data
         self.log_y_fact = float(gammaln(self.yf + 1.0).sum())
         self.group_rows = [np.flatnonzero(self.z0 == k) for k in range(self.K)]
+        self.nonref_rows = np.flatnonzero(self.z0 != self.ref0)
         self.hp = hp
         self.prior_only = prior_only
         self.t_df = 2.0 * hp.a_t
@@ -207,14 +216,22 @@ class _Engine:
         self.accept_counts = {m: 0 for m in _MOVES}
         self._window_prop = {m: 0 for m in _MOVES}
         self._window_acc = {m: 0 for m in _MOVES}
-        self.active: np.ndarray | None = None  # (n, p) float, 1 - r
-        self.xb: np.ndarray | None = None      # (n, p) cache of x @ beta
+        # per-cell cache of the current state, all (n, p) float
+        self.active: np.ndarray | None = None  # 1 - r
+        self.eta: np.ndarray | None = None     # mu0 + mu[group] + x @ beta
+        self.kern: np.ndarray | None = None    # nb_kernel at eta
+        self.phit: np.ndarray | None = None    # nb_phi_terms at phi
 
     # -- bookkeeping ---------------------------------------------------
 
     def attach(self, state: ModelState) -> None:
+        """Build the per-cell cache from ``state``."""
         self.active = 1.0 - state.r.astype(np.float64)
-        self.xb = self.x @ state.beta if self.R else np.zeros((self.n, self.p))
+        self.eta = state.mu0[None, :] + state.mu[self.z0, :]
+        if self.R:
+            self.eta += self.x @ state.beta
+        self.kern = self._kernel(self.eta, state.phi)
+        self.phit = nb_phi_terms(self.yf, state.phi[None, :])
 
     def _count(self, move: str, proposed: int, accepted: int) -> None:
         self.proposal_counts[move] += int(proposed)
@@ -224,40 +241,45 @@ class _Engine:
 
     # -- likelihood kernels ---------------------------------------------
 
-    def _mu_z(self, state: ModelState) -> np.ndarray:
-        return state.mu[self.z0, :]
-
-    def _eta(self, state: ModelState) -> np.ndarray:
-        return state.mu0[None, :] + self._mu_z(state) + self.xb
-
-    def _col_ll(self, eta, phi, rows=None, cols=None) -> np.ndarray:
-        """Per-column sum of the NB kernel over the cells not flagged as
-        extra zeros, on the rows x cols block (all rows / all columns when
+    def _kernel(self, eta, phi, rows=None, cols=None) -> np.ndarray:
+        """NB kernel on the rows x cols block (all rows / all columns when
         None). ``eta`` is the block's linear predictor and ``phi`` the
         full dispersion vector."""
-        y, active, log_s = self.yf, self.active, self.log_s
+        y, log_s = self.yf, self.log_s
         if cols is not None:
-            y, active, phi = y[:, cols], active[:, cols], phi[cols]
+            y, phi = y[:, cols], phi[cols]
         if rows is not None:
-            y, active, log_s = y[rows], active[rows], log_s[rows]
+            y, log_s = y[rows], log_s[rows]
         loglam = log_s[:, None] + np.clip(eta, -_ETA_CLIP, _ETA_CLIP)
-        t = nb_kernel(y, loglam, phi[None, :])
-        t *= active
-        return t.sum(axis=0)
+        return nb_kernel(y, loglam, phi[None, :])
 
-    def _phi_ll(self, phi: np.ndarray) -> np.ndarray:
-        """Per-column sum of the dispersion-only NB terms over the cells not
-        flagged as extra zeros."""
-        t = nb_phi_terms(self.yf, phi[None, :])
-        t *= self.active
-        return t.sum(axis=0)
+    @staticmethod
+    def _llr(new, old, active) -> np.ndarray:
+        """Per-column sum of ``new - old`` over the cells not flagged as
+        extra zeros."""
+        d = new - old
+        d *= active
+        return d.sum(axis=0)
+
+    def _commit(self, accept, eta, kern) -> None:
+        """Copy a full-matrix proposal into the cache on accepted columns."""
+        np.copyto(self.eta, eta, where=accept)
+        np.copyto(self.kern, kern, where=accept)
+
+    def _commit_block(self, rows, cols, eta, kern) -> None:
+        """Copy a proposal's rows x cols block into the cache."""
+        block = np.ix_(rows, cols)
+        self.eta[block] = eta
+        self.kern[block] = kern
 
     def log_posterior(self, state: ModelState) -> float:
         """Full log posterior up to an additive constant (diagnostics)."""
         hp = self.hp
-        ll = float(
-            (self._col_ll(self._eta(state), state.phi) + self._phi_ll(state.phi)).sum()
-        ) - self.log_y_fact
+        if self.prior_only:
+            self.attach(state)  # prior-only moves leave the cache stale
+        t = self.kern + self.phit
+        t *= self.active
+        ll = float(t.sum()) - self.log_y_fact
         lp = float(np.sum(log_normal_density(state.mu0, hp.sigma0_sq)))
         act = state.gamma == 1
         for k in self.nonref:
@@ -320,7 +342,7 @@ class _Engine:
         if self.prior_only:
             p1 = hp.a_pi / (hp.a_pi + hp.b_pi)
         else:
-            loglam0 = self.log_s[self.zero_rows] + self._eta(state)[self.zero_rows, self.zero_cols]
+            loglam0 = self.log_s[self.zero_rows] + self.eta[self.zero_rows, self.zero_cols]
             p1 = zero_indicator_prob(loglam0, state.phi[self.zero_cols], hp.a_pi, hp.b_pi)
         rnew = u < p1
         state.r[self.zero_rows, self.zero_cols] = rnew
@@ -336,11 +358,14 @@ class _Engine:
         if self.prior_only:
             llr = 0.0
         else:
-            base = self._mu_z(state) + self.xb
-            llr = self._col_ll(prop + base, state.phi) - self._col_ll(state.mu0 + base, state.phi)
+            eta = self.eta + (prop - state.mu0)
+            kern = self._kernel(eta, state.phi)
+            llr = self._llr(kern, self.kern, self.active)
         lpr = (np.square(state.mu0) - np.square(prop)) / (2.0 * self.hp.sigma0_sq)
         accept = log_u < llr + lpr
         state.mu0[accept] = prop[accept]
+        if not self.prior_only:
+            self._commit(accept, eta, kern)
         self._count("mu0", p, int(accept.sum()))
 
     # -- step 3: discrimination indicators and group shifts ----------------
@@ -353,17 +378,20 @@ class _Engine:
         prop = self.tau_mu * rng.standard_normal((nr, p))
         log_u = np.log(rng.random(p))
 
+        gamma_before = state.gamma.copy()
         if self.prior_only:
             llr = np.zeros(p)
         else:
-            base = state.mu0 + self.xb
-            flip = np.zeros((self.K, p))
+            # shift change of each flip: to zero when on, to prop when off;
+            # the reference group's rows do not change
+            rows = self.nonref_rows
+            d_mu = np.zeros((self.K, p))
             on = state.gamma.astype(bool)
             for i, k in enumerate(nonref):
-                flip[k] = np.where(on, 0.0, prop[i])
-            llr = self._col_ll(base + flip[self.z0, :], state.phi) - self._col_ll(
-                base + self._mu_z(state), state.phi
-            )
+                d_mu[k] = np.where(on, -state.mu[k], prop[i])
+            eta = self.eta[rows] + d_mu[self.z0[rows], :]
+            kern = self._kernel(eta, state.phi, rows=rows)
+            llr = self._llr(kern, self.kern[rows], self.active[rows])
 
         t_prop = log_t_density(prop, self.t_df, self.t_scale_sq).sum(axis=0)
         q_prop = log_normal_density(prop, self.tau_mu**2).sum(axis=0)
@@ -402,6 +430,9 @@ class _Engine:
                     acc_add += 1
         self._count("gamma_add", n_add, acc_add)
         self._count("gamma_delete", n_del, acc_del)
+        if not self.prior_only:
+            cols = np.flatnonzero(state.gamma != gamma_before)
+            self._commit_block(rows, cols, eta[:, cols], kern[:, cols])
 
         # within-model refresh of every active shift, one group at a time
         act = np.flatnonzero(state.gamma)
@@ -416,15 +447,17 @@ class _Engine:
                 llr_w = 0.0
             else:
                 rows = self.group_rows[k]
-                base_sub = state.mu0[act] + self.xb[np.ix_(rows, act)]
-                llr_w = self._col_ll(base_sub + prp, state.phi, rows, act) - self._col_ll(
-                    base_sub + cur, state.phi, rows, act
-                )
+                block = np.ix_(rows, act)
+                eta = self.eta[block] + step
+                kern = self._kernel(eta, state.phi, rows, act)
+                llr_w = self._llr(kern, self.kern[block], self.active[block])
             lpr = log_t_density(prp, self.t_df, self.t_scale_sq) - log_t_density(
                 cur, self.t_df, self.t_scale_sq
             )
             accept = log_uu < llr_w + lpr
             state.mu[k, act[accept]] = prp[accept]
+            if not self.prior_only and np.any(accept):
+                self._commit_block(rows, act[accept], eta[:, accept], kern[:, accept])
             self._count("mu_within", act.size, int(accept.sum()))
 
     # -- step 4: covariate indicators and effects --------------------------
@@ -445,9 +478,9 @@ class _Engine:
         if self.prior_only:
             llr = np.zeros(p)
         else:
-            base = state.mu0 + self._mu_z(state)
-            xb_new = self.xb + self.x[:, pick] * (new_b - old_b)
-            llr = self._col_ll(base + xb_new, state.phi) - self._col_ll(base + self.xb, state.phi)
+            eta = self.eta + self.x[:, pick] * (new_b - old_b)
+            kern = self._kernel(eta, state.phi)
+            llr = self._llr(kern, self.kern, self.active)
 
         s_delta = state.delta.sum(axis=0).astype(np.float64)
         lr = np.empty(p)
@@ -471,7 +504,8 @@ class _Engine:
         if jacc.size:
             state.delta[pick[jacc], jacc] = ~cur_on[jacc]
             state.beta[pick[jacc], jacc] = new_b[jacc]
-            self.xb[:, jacc] += self.x[:, pick[jacc]] * (new_b - old_b)[jacc][None, :]
+            if not self.prior_only:
+                self._commit(accept, eta, kern)
         self._count("delta_add", int(add.sum()), int((accept & add).sum()))
         self._count("delta_delete", int(cur_on.sum()), int((accept & cur_on).sum()))
 
@@ -487,11 +521,9 @@ class _Engine:
             if self.prior_only:
                 llr_w = 0.0
             else:
-                base_sub = state.mu0[act] + self._mu_z(state)[:, act] + self.xb[:, act]
-                dx = self.x[:, r_idx][:, None] * step
-                llr_w = self._col_ll(base_sub + dx, state.phi, cols=act) - self._col_ll(
-                    base_sub, state.phi, cols=act
-                )
+                eta = self.eta[:, act] + self.x[:, r_idx][:, None] * step
+                kern = self._kernel(eta, state.phi, cols=act)
+                llr_w = self._llr(kern, self.kern[:, act], self.active[:, act])
             lpr = log_t_density(prp, self.t_df, self.t_scale_sq) - log_t_density(
                 cur, self.t_df, self.t_scale_sq
             )
@@ -499,7 +531,9 @@ class _Engine:
             if np.any(accept):
                 cols_acc = act[accept]
                 state.beta[r_idx, cols_acc] = prp[accept]
-                self.xb[:, cols_acc] += self.x[:, r_idx][:, None] * step[accept][None, :]
+                if not self.prior_only:
+                    self.eta[:, cols_acc] = eta[:, accept]
+                    self.kern[:, cols_acc] = kern[:, accept]
             self._count("beta_within", act.size, int(accept.sum()))
 
     # -- step 5: dispersions ------------------------------------------------
@@ -517,16 +551,18 @@ class _Engine:
         if self.prior_only:
             llr = 0.0
         else:
-            eta = self._eta(state)
-            llr = (self._col_ll(eta, prop_safe) + self._phi_ll(prop_safe)) - (
-                self._col_ll(eta, state.phi) + self._phi_ll(state.phi)
-            )
+            kern = self._kernel(self.eta, prop_safe)
+            phit = nb_phi_terms(self.yf, prop_safe[None, :])
+            llr = self._llr(kern + phit, self.kern + self.phit, self.active)
         lpr = (hp.a_phi - 1.0) * (np.log(prop_safe) - np.log(state.phi)) - hp.b_phi * (
             prop_safe - state.phi
         )
         corr = log_ndtr(state.phi / tau) - log_ndtr(prop_safe / tau)
         accept = valid & (log_u < llr + lpr + corr)
         state.phi[accept] = prop[accept]
+        if not self.prior_only:
+            np.copyto(self.kern, kern, where=accept)
+            np.copyto(self.phit, phit, where=accept)
         self._count("phi", p, int(accept.sum()))
 
     # -- one sweep ------------------------------------------------------------

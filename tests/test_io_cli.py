@@ -333,3 +333,27 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_sim_study_bad_sim_config_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "study"
+    code = main(["sim-study", "--replicates", "2", "--n", "13", "--p", "20",
+                 "--out", str(out)])
+    assert code == 1
+    assert "n must be even" in capsys.readouterr().err
+    assert not (out / "replicate_scores.csv").exists()
+
+
+def test_fit_refuses_a_single_group(tiny_files, tmp_path, capsys):
+    src, counts, *_ = tiny_files
+    one = tmp_path / "one_group"
+    one.mkdir()
+    for name in ("counts.csv", "covariates.csv"):
+        (one / name).write_bytes((src / name).read_bytes())
+    (one / "groups.csv").write_text(
+        "sample_id,group\n" + "".join(f"{sid},1\n" for sid in counts.sample_ids)
+    )
+    out = tmp_path / "fit"
+    assert main(_fit_args(one, out)) == 2
+    assert "at least 2 groups" in capsys.readouterr().err
+    assert not (out / "ppi_gamma.csv").exists()

@@ -549,3 +549,88 @@ def test_delta_step_matches_naive_reference():
     s_eng, s_ref = _run_against_naive(ds, "step_delta_beta", _naive_delta_step, 6, 7)
     np.testing.assert_array_equal(s_eng.delta, s_ref.delta)
     np.testing.assert_allclose(s_eng.beta, s_ref.beta, atol=1e-10)
+
+
+def _three_group_dataset(seed, n=15, p=8, n_covariates=2):
+    ds = small_dataset(seed=seed, n=n, p=p, n_covariates=n_covariates)
+    return validate_inputs(ds.counts, ds.covariates, GroupAssignment(1 + np.arange(n) % 3, 3))
+
+
+def test_cached_state_matches_fresh_attach():
+    ds = _three_group_dataset(95)
+    y = ds.counts.counts.astype(np.float64)
+    assert ds.n_groups == 3 and ds.n_covariates >= 2 and np.any(y == 0)
+    sf = estimate_css(ds.counts)
+    eng, state = _start(ds, 12, sf)
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        eng.sweep(state, rng)
+        fresh = _engine(ds, sf)
+        fresh.attach(state)
+        np.testing.assert_array_equal(eng.active, fresh.active)
+        # eta takes one rounding per accepted move (at most six a sweep
+        # here), so after 50 sweeps it is within ~300 eps |eta| of a fresh
+        # sum; the kernel moves by |dk/deta| <= 2y + phi times that, plus
+        # a few eps of the magnitude of its terms
+        eta_tol = 1e-12 * max(1.0, float(np.abs(fresh.eta).max()))
+        np.testing.assert_allclose(eng.eta, fresh.eta, rtol=0, atol=eta_tol)
+        loglam = np.log(sf.values)[:, None] + fresh.eta
+        terms = np.abs(y * loglam) + (y + state.phi) * np.abs(
+            np.logaddexp(loglam, np.log(state.phi))
+        )
+        kern_tol = (2.0 * y + state.phi) * eta_tol + 1e-14 * terms
+        assert np.all(np.abs(eng.kern - fresh.kern) <= kern_tol)
+        # the phi terms are evaluated afresh on every change, never updated
+        np.testing.assert_allclose(eng.phit, fresh.phit, rtol=1e-13, atol=1e-13)
+        assert eng.log_posterior(state) == pytest.approx(
+            fresh.log_posterior(state), rel=0, abs=1e-12 + float(kern_tol.sum())
+        )
+
+
+def test_log_posterior_prior_only_differences_match_oracle():
+    # prior-only moves leave the likelihood cache alone; the log posterior
+    # must still describe the state reached, with no attach in between
+    ds = small_dataset(seed=96, n=12, p=6, n_covariates=3)
+    sf = estimate_css(ds.counts)
+    eng = _engine(ds, sf, prior_only=True)
+    rng = np.random.default_rng(4)
+    state = eng.init_state(rng)
+    start = state.copy()
+    engine_lp, oracle_lp = [], []
+    for _ in range(5):
+        eng.sweep(state, rng)
+        engine_lp.append(eng.log_posterior(state))
+        oracle_lp.append(oracle.log_posterior(state, ds, sf, HP))
+    assert not np.array_equal(state.mu0, start.mu0)
+    for a in range(1, len(engine_lp)):
+        assert engine_lp[a] - engine_lp[0] == pytest.approx(
+            oracle_lp[a] - oracle_lp[0], rel=0, abs=1e-9
+        )
+
+
+def test_moves_evaluate_the_kernel_once(monkeypatch):
+    from zinbreg import sampler
+
+    cells = {"kernel": 0, "phi": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            cells[name] += np.broadcast(*args).size
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(sampler, "nb_kernel", counting("kernel", sampler.nb_kernel))
+    monkeypatch.setattr(sampler, "nb_phi_terms", counting("phi", sampler.nb_phi_terms))
+    ds = small_dataset(seed=97)
+    eng, state = _start(ds, 5)
+    rng = np.random.default_rng(6)
+    eng.sweep(state, rng)
+    np_cells = ds.n * ds.p
+    for name, call, kernel_cells, phi_cells in (
+        ("log_posterior", lambda: eng.log_posterior(state), 0, 0),
+        ("step_mu0", lambda: eng.step_mu0(state, rng), np_cells, 0),
+        ("step_phi", lambda: eng.step_phi(state, rng), np_cells, np_cells),
+    ):
+        cells.update(kernel=0, phi=0)
+        call()
+        assert cells == {"kernel": kernel_cells, "phi": phi_cells}, name
