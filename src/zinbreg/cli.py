@@ -327,8 +327,22 @@ def _validate_config(cfg: RunConfig) -> None:
         raise UsageError(f"--replicates must be >= 1, got {cfg.replicates}")
     if cfg.subcommand == "sim-study" and cfg.trace_dump:
         raise UsageError("--trace-dump: only fit writes traces, sim-study does not")
+    if cfg.threads is not None and cfg.threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {cfg.threads}")
     if cfg.subcommand in ("fit", "sim-study") and cfg.threads is None:
         default_max_workers()  # a bad ZINBREG_THREADS fails here, before any work
+    if cfg.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {cfg.seed}")
+    if cfg.sim_seed < 0:
+        raise UsageError(f"--sim-seed must be >= 0, got {cfg.sim_seed}")
+    if not -1 <= cfg.convergence_floor <= 1:
+        raise UsageError(
+            f"--convergence-floor must lie in [-1, 1], got {cfg.convergence_floor}"
+        )
+    if cfg.filter_min_count < 1:
+        raise UsageError(f"--filter-min-count must be >= 1, got {cfg.filter_min_count}")
+    if cfg.filter_min_groups is not None and cfg.filter_min_groups < 1:
+        raise UsageError(f"--filter-min-groups must be >= 1, got {cfg.filter_min_groups}")
     if cfg.norm not in METHODS:
         raise UsageError(f"--norm must be one of {METHODS}, got {cfg.norm}")
 
@@ -365,6 +379,11 @@ def _prepare_dataset(cfg: RunConfig, counts, covariates, groups) -> Dataset:
             "discrimination indicators have no likelihood and their PPIs are prior noise"
         )
     if not cfg.no_filter:
+        if cfg.filter_min_groups is not None and cfg.filter_min_groups > groups.n_groups:
+            raise UsageError(
+                f"--filter-min-groups must be at most the {groups.n_groups} groups "
+                f"in the data, got {cfg.filter_min_groups}"
+            )
         counts = filter_low_abundance(
             counts, groups, cfg.filter_min_count, cfg.filter_min_groups
         )
@@ -650,6 +669,8 @@ def sim_study_command(cfg: RunConfig) -> int:
             reports.append(report)
             rows.append([str(rep), str(sim_seed), *_score_row(report), "ok"])
             _write_roc_files(out_dir, rep, full_summary, truth)
+        except UsageError:
+            raise  # a bad setting fails every replicate alike: exit 1, not failed rows
         except ZinbregError as exc:
             rows.append(
                 [str(rep), str(sim_seed)]

@@ -4,10 +4,13 @@ The model has one likelihood: a negative binomial mass per matrix cell,
 summed over the cells not flagged as extra zeros. Its log splits into
 
 * ``nb_kernel(y, loglam, phi)``: the terms that involve the mean,
-  ``y*log(lam) - (y + phi)*log(lam + phi)``, written with the log mean so
-  that it stays finite for any finite linear predictor;
+  ``y*log(lam) - (y + phi)*log(lam + phi)``, taking the log mean and
+  computing ``log(lam + phi)`` as ``log(exp(loglam) + phi)``. It is finite
+  for log means up to ~709, where ``exp`` overflows; the sampler clips its
+  log means at +-700;
 * ``nb_phi_terms(y, phi)``: the terms in the dispersion alone,
-  ``lgamma(y + phi) - lgamma(phi) + phi*log(phi)``;
+  ``lgamma(y + phi) - lgamma(phi) + phi*log(phi)``, which is exactly
+  ``phi*log(phi)`` at ``y = 0``;
 * ``-lgamma(y + 1)``, which depends on the data only.
 
 Every sampler move and the log posterior evaluate the kernel through one
@@ -55,8 +58,12 @@ def log_t_density(x, df, scale_sq):
 
 def nb_kernel(y, loglam, phi):
     """Mean-dependent part of the NB log mass at count ``y``, log mean
-    ``loglam`` and dispersion ``phi`` (broadcastable arrays)."""
-    return y * loglam - (y + phi) * np.logaddexp(loglam, np.log(phi))
+    ``loglam`` and dispersion ``phi`` (broadcastable arrays).
+
+    Finite for log means up to ~709, where ``exp(loglam)`` overflows; the
+    engine clips its log means at +-700.
+    """
+    return y * loglam - (y + phi) * np.log(np.exp(loglam) + phi)
 
 
 def nb_phi_terms(y, phi):

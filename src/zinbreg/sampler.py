@@ -21,15 +21,19 @@ hyperparameters, proposal scales, chain config); identical seeds give
 bit-identical traces regardless of how chains are scheduled.
 
 Every likelihood term goes through the one negative binomial kernel of
-``likelihood.py``. ``_Engine`` keeps the current state's per-cell values
-up to date: the linear predictor ``eta``, the kernel at ``eta`` and the
-dispersion-only terms, next to the mask of cells not flagged as extra
-zeros. A move evaluates the kernel only at its proposal and only on the
-cells it touches; its log likelihood ratio is the masked column sum of
-the proposal's kernel minus the cached one, and it copies the proposal's
-cells into the cache where it accepts. The log posterior is a masked sum
-of the cache plus the priors. Prior-only chains skip the likelihood, so
-their moves leave the cache alone and the log posterior rebuilds it.
+``likelihood.py``, at log means ``log(s) + eta`` clipped at +-700 so that
+the kernel's ``exp`` stays finite whatever the size factors. ``_Engine``
+keeps the current state's per-cell values up to date: the linear
+predictor ``eta``, the kernel at ``eta`` and the dispersion-only terms,
+next to the mask of cells not flagged as extra zeros. The dispersion-only
+terms are ``phi*log(phi)`` at zero counts, so their ``lgamma`` pair is
+evaluated on the nonzero counts alone. A move evaluates the kernel only
+at its proposal and only on the cells it touches; its log likelihood
+ratio is the masked column sum of the proposal's kernel minus the cached
+one, and it copies the proposal's cells into the cache where it accepts.
+The log posterior is a masked sum of the cache plus the priors.
+Prior-only chains skip the likelihood, so their moves leave the cache
+alone and the log posterior rebuilds it.
 Moves that are conditionally independent across features are evaluated
 in single vectorized passes; the one sequential scan (the discrimination
 add-delete, coupled across features by the collapsed prior) precomputes
@@ -49,7 +53,7 @@ from scipy.special import betaln, gammaln, log_ndtr, ndtr, ndtri
 
 from .data import Dataset, Hyperparameters, ProposalScales
 from .errors import EmptyTrace, NumericalFailure, UsageError
-from .likelihood import log_normal_density, log_t_density, nb_kernel, nb_phi_terms
+from .likelihood import log_normal_density, log_t_density, nb_kernel
 from .normalization import SizeFactors, estimate_css
 
 __all__ = [
@@ -64,10 +68,17 @@ __all__ = [
 
 THREADS_ENV_VAR = "ZINBREG_THREADS"
 
-# Linear predictors are clipped here before they enter the kernel; with
-# log-space addition this keeps every likelihood term finite for any
-# finite parameter value.
+# Log means are clipped here before they enter the kernel, which keeps
+# exp(log mean), and so every likelihood term, finite for any finite
+# parameter value and size factor.
 _ETA_CLIP = 700.0
+
+
+def _log_mean(log_s, eta) -> np.ndarray:
+    """Log mean ``log_s + eta`` clipped at +-``_ETA_CLIP``."""
+    out = log_s + eta
+    return np.clip(out, -_ETA_CLIP, _ETA_CLIP, out=out)
+
 
 _MOVES = (
     "r",
@@ -197,6 +208,10 @@ class _Engine:
         self.s = size_factors.values
         self.log_s = np.log(self.s)
         self.zero_rows, self.zero_cols = np.nonzero(y == 0)
+        # nonzero cells as flat indices into (n, p), their columns and counts
+        self.nz_flat = np.flatnonzero(y)
+        self.nz_cols = self.nz_flat % self.p
+        self.nz_y = self.yf.ravel()[self.nz_flat]
         # sum of lgamma(y + 1) over the cells not flagged as extra zeros:
         # only zero cells can be flagged and they add nothing, so it is a
         # constant of the data
@@ -207,6 +222,7 @@ class _Engine:
         self.prior_only = prior_only
         self.t_df = 2.0 * hp.a_t
         self.t_scale_sq = hp.b_t / hp.a_t
+        self.log_phi_norm = hp.a_phi * math.log(hp.b_phi) - gammaln(hp.a_phi)
         # live scales (mutated only by the optional burn-in adaptation)
         self.tau_mu0 = scales.tau_mu0
         self.tau_mu = scales.tau_mu
@@ -231,7 +247,7 @@ class _Engine:
         if self.R:
             self.eta += self.x @ state.beta
         self.kern = self._kernel(self.eta, state.phi)
-        self.phit = nb_phi_terms(self.yf, state.phi[None, :])
+        self.phit = self._phi_terms(state.phi)
 
     def _count(self, move: str, proposed: int, accepted: int) -> None:
         self.proposal_counts[move] += int(proposed)
@@ -250,8 +266,21 @@ class _Engine:
             y, phi = y[:, cols], phi[cols]
         if rows is not None:
             y, log_s = y[rows], log_s[rows]
-        loglam = log_s[:, None] + np.clip(eta, -_ETA_CLIP, _ETA_CLIP)
-        return nb_kernel(y, loglam, phi[None, :])
+        return nb_kernel(y, _log_mean(log_s[:, None], eta), phi[None, :])
+
+    def _phi_terms(self, phi) -> np.ndarray:
+        """``nb_phi_terms(y, phi)`` on the (n, p) grid for the dispersion
+        vector ``phi``. At a zero count ``lgamma(y + phi) - lgamma(phi)``
+        is exactly 0, so ``lgamma`` is evaluated on the nonzero counts
+        only."""
+        plogp = phi * np.log(phi)
+        cols = self.nz_cols
+        nz = gammaln(self.nz_y + phi[cols])
+        nz -= gammaln(phi)[cols]
+        nz += plogp[cols]
+        out = np.tile(plogp, self.n)
+        out[self.nz_flat] = nz
+        return out.reshape(self.n, self.p)
 
     @staticmethod
     def _llr(new, old, active) -> np.ndarray:
@@ -287,8 +316,7 @@ class _Engine:
         lp += float(np.sum(log_t_density(state.beta[state.delta == 1], self.t_df, self.t_scale_sq)))
         lp += float(
             np.sum(
-                hp.a_phi * math.log(hp.b_phi)
-                - gammaln(hp.a_phi)
+                self.log_phi_norm
                 + (hp.a_phi - 1.0) * np.log(state.phi)
                 - hp.b_phi * state.phi
             )
@@ -342,7 +370,9 @@ class _Engine:
         if self.prior_only:
             p1 = hp.a_pi / (hp.a_pi + hp.b_pi)
         else:
-            loglam0 = self.log_s[self.zero_rows] + self.eta[self.zero_rows, self.zero_cols]
+            loglam0 = _log_mean(
+                self.log_s[self.zero_rows], self.eta[self.zero_rows, self.zero_cols]
+            )
             p1 = zero_indicator_prob(loglam0, state.phi[self.zero_cols], hp.a_pi, hp.b_pi)
         rnew = u < p1
         state.r[self.zero_rows, self.zero_cols] = rnew
@@ -552,7 +582,7 @@ class _Engine:
             llr = 0.0
         else:
             kern = self._kernel(self.eta, prop_safe)
-            phit = nb_phi_terms(self.yf, prop_safe[None, :])
+            phit = self._phi_terms(prop_safe)
             llr = self._llr(kern + phit, self.kern + self.phit, self.active)
         lpr = (hp.a_phi - 1.0) * (np.log(prop_safe) - np.log(state.phi)) - hp.b_phi * (
             prop_safe - state.phi
@@ -613,6 +643,20 @@ def zero_indicator_prob(loglam, phi, a_pi: float, b_pi: float):
 _ADAPT_WINDOW = 50
 
 
+def _first_bad_parameter(state: ModelState) -> str:
+    """``'block[index] = value'`` for the first non-finite parameter or
+    non-positive dispersion of ``state``; empty when there is none."""
+    for name in ("mu0", "mu", "beta", "phi"):
+        values = getattr(state, name)
+        bad = ~np.isfinite(values)
+        if name == "phi":
+            bad |= values <= 0
+        if bad.any():
+            idx = tuple(int(i) for i in np.argwhere(bad)[0])
+            return f"{name}[{', '.join(map(str, idx))}] = {values[idx]}"
+    return ""
+
+
 def run_chain(
     data: Dataset,
     hp: Hyperparameters,
@@ -624,7 +668,7 @@ def run_chain(
 
     Deterministic given (data, size factors, hyperparameters, scales,
     config); a non-finite parameter mid-run raises ``NumericalFailure``
-    with the offending iteration.
+    with the offending iteration and the first bad parameter.
     """
     sf = size_factors if size_factors is not None else estimate_css(data.counts)
     eng = _Engine(data, sf, hp, scales, config.prior_only)
@@ -651,14 +695,9 @@ def run_chain(
     t_rec = 0
     for it in range(config.n_iter):
         eng.sweep(state, rng)
-        if not (
-            np.all(np.isfinite(state.mu0))
-            and np.all(np.isfinite(state.mu))
-            and np.all(np.isfinite(state.beta))
-            and np.all(np.isfinite(state.phi))
-            and np.all(state.phi > 0)
-        ):
-            raise NumericalFailure(it)
+        bad = _first_bad_parameter(state)
+        if bad:
+            raise NumericalFailure(it, bad)
         if config.adapt_scales and it < config.burn_in and (it + 1) % _ADAPT_WINDOW == 0:
             eng.adapt((it + 1) // _ADAPT_WINDOW)
         if config.diagnostics:

@@ -175,6 +175,13 @@ def nb_pmf_direct(y, lam, phi):
     )
 
 
+def nb_kernel_logaddexp(y, loglam, phi):
+    """The NB kernel ``y*log(lam) - (y + phi)*log(lam + phi)`` with
+    ``log(lam + phi)`` computed in log space, finite for any finite log
+    mean."""
+    return y * loglam - (y + phi) * np.logaddexp(loglam, np.log(phi))
+
+
 def t_density_quadrature(x, a, b):
     """Marginal slab density at x: normal with variance v integrated
     against an inverse-gamma(a, b) on v."""

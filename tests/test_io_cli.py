@@ -357,3 +357,46 @@ def test_fit_refuses_a_single_group(tiny_files, tmp_path, capsys):
     assert main(_fit_args(one, out)) == 2
     assert "at least 2 groups" in capsys.readouterr().err
     assert not (out / "ppi_gamma.csv").exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (("--threads", "0"), "--threads must be >= 1"),
+    (("--threads", "-2"), "--threads must be >= 1"),
+    (("--convergence-floor", "7"), "--convergence-floor must lie in [-1, 1]"),
+    (("--convergence-floor", "-1.5"), "--convergence-floor must lie in [-1, 1]"),
+    (("--seed", "-1"), "--seed must be >= 0"),
+    (("--filter-min-count", "-1"), "--filter-min-count must be >= 1"),
+    (("--filter-min-groups", "0"), "--filter-min-groups must be >= 1"),
+])
+def test_meaningless_option_values_are_usage_errors(tiny_files, tmp_path, capsys, extra, message):
+    src, *_ = tiny_files
+    out = tmp_path / "fit"
+    assert main([*_fit_args(src, out), *extra]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    study = ["sim-study", "--replicates", "1", "--out", str(tmp_path / "study"), *extra]
+    assert main(study) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "study").exists()
+
+
+def test_negative_sim_seed_is_usage_error(tmp_path, capsys):
+    for command in ("simulate", "sim-study"):
+        assert main([command, "--sim-seed", "-3", "--out", str(tmp_path / command)]) == 1
+        assert "--sim-seed must be >= 0" in capsys.readouterr().err
+
+
+def test_filter_min_groups_above_group_count_is_usage_error(tiny_files, tmp_path, capsys):
+    src, *_ = tiny_files
+    args = [a for a in _fit_args(src, tmp_path / "fit") if a != "--no-filter"]
+    assert main([*args, "--filter-min-groups", "9"]) == 1
+    assert "--filter-min-groups must be at most the 2 groups" in capsys.readouterr().err
+    out = tmp_path / "study"
+    assert main([
+        "sim-study", "--replicates", "2", "--n", "12", "--p", "10", "--n-disc", "3",
+        "--n-covariates", "2", "--m-active", "1", "--total-min", "20000",
+        "--total-max", "40000", "--chains", "1", "--iterations", "5",
+        "--filter-min-groups", "9", "--out", str(out),
+    ]) == 1
+    assert "--filter-min-groups must be at most the 2 groups" in capsys.readouterr().err
+    assert not (out / "replicate_scores.csv").exists()

@@ -17,7 +17,7 @@ from _oracles import (
 )
 from zinbreg.data import CovariateMatrix, GroupAssignment, Hyperparameters
 from zinbreg.errors import DomainError, InconsistentZeroIndicator
-from zinbreg.likelihood import log_t_density, nb_log_pmf, zinb_log_pmf
+from zinbreg.likelihood import log_t_density, nb_kernel, nb_log_pmf, zinb_log_pmf
 from zinbreg.normalization import SizeFactors
 
 
@@ -41,6 +41,22 @@ def test_nb_log_pmf_matches_direct_gamma_evaluation():
 def test_nb_log_pmf_large_counts_finite():
     out = nb_log_pmf(10**9, 1e9, 5.0)
     assert np.isfinite(out)
+
+
+def test_nb_kernel_matches_log_space_form():
+    # log(exp(loglam) + phi) carries the relative rounding of exp, the sum
+    # and the log; a relative error in the log's argument is an absolute
+    # error in the log, hence the +1 next to |log(lam + phi)|
+    loglam = np.linspace(-700.0, 700.0, 1401)[:, None, None]
+    phi = np.geomspace(1e-3, 1e4, 71)[None, :, None]
+    y = np.array([0.0, 1.0, 10.0, 1e6, 1e9])[None, None, :]
+    with np.errstate(all="raise"):
+        got = nb_kernel(y, loglam, phi)
+    want = oracle.nb_kernel_logaddexp(y, loglam, phi)
+    log_sum = np.logaddexp(loglam, np.log(phi))
+    scale = np.abs(y * loglam) + (y + phi) * (np.abs(log_sum) + 1.0)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
 
 
 def test_nb_log_pmf_variance_matches_dispersion():

@@ -197,6 +197,8 @@ def test_numerical_failure_detected(tiny_dataset, monkeypatch):
     with pytest.raises(NumericalFailure) as err:
         run_chain(tiny_dataset, HP, SCALES, ChainConfig(n_iter=5, burn_in=1, seed=1))
     assert err.value.iteration == 0
+    assert err.value.detail == "mu0[0] = nan"
+    assert str(err.value) == "non-finite state at iteration 0: mu0[0] = nan"
 
 
 def _fit_zinb(counts, covs, groups, n_iter, seed, scales=SCALES):
@@ -611,7 +613,7 @@ def test_log_posterior_prior_only_differences_match_oracle():
 def test_moves_evaluate_the_kernel_once(monkeypatch):
     from zinbreg import sampler
 
-    cells = {"kernel": 0, "phi": 0}
+    cells = {"kernel": 0, "gammaln": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -620,17 +622,46 @@ def test_moves_evaluate_the_kernel_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(sampler, "nb_kernel", counting("kernel", sampler.nb_kernel))
-    monkeypatch.setattr(sampler, "nb_phi_terms", counting("phi", sampler.nb_phi_terms))
+    monkeypatch.setattr(sampler, "gammaln", counting("gammaln", sampler.gammaln))
     ds = small_dataset(seed=97)
     eng, state = _start(ds, 5)
     rng = np.random.default_rng(6)
     eng.sweep(state, rng)
     np_cells = ds.n * ds.p
-    for name, call, kernel_cells, phi_cells in (
+    # the dispersion terms take lgamma at the nonzero counts and once per
+    # feature; at a zero count their lgamma pair cancels exactly
+    phi_cells = int(np.count_nonzero(ds.counts.counts)) + ds.p
+    assert phi_cells < np_cells
+    for name, call, kernel_cells, gammaln_cells in (
         ("log_posterior", lambda: eng.log_posterior(state), 0, 0),
         ("step_mu0", lambda: eng.step_mu0(state, rng), np_cells, 0),
-        ("step_phi", lambda: eng.step_phi(state, rng), np_cells, np_cells),
+        ("step_phi", lambda: eng.step_phi(state, rng), np_cells, phi_cells),
     ):
-        cells.update(kernel=0, phi=0)
+        cells.update(kernel=0, gammaln=0)
         call()
-        assert cells == {"kernel": kernel_cells, "phi": phi_cells}, name
+        assert cells == {"kernel": kernel_cells, "gammaln": gammaln_cells}, name
+
+
+def test_phi_terms_equal_the_full_matrix_form():
+    from zinbreg.likelihood import nb_phi_terms
+
+    ds = _three_group_dataset(seed=71)
+    y = ds.counts.counts
+    assert 0 < np.count_nonzero(y == 0) < y.size
+    eng = _engine(ds)
+    phi = np.random.default_rng(4).uniform(0.05, 50.0, ds.p)
+    np.testing.assert_array_equal(eng._phi_terms(phi), nb_phi_terms(eng.yf, phi[None, :]))
+
+
+def test_clipped_log_means_keep_the_likelihood_finite():
+    ds = small_dataset(seed=83, n=12, p=6)
+    sf = SizeFactors(np.exp(np.linspace(-15.0, 15.0, ds.n)), "css")
+    eng, state = _start(ds, 3, sf=sf)
+    rng = np.random.default_rng(8)
+    for value in (1e4, -1e4):
+        eng.eta[:] = value
+        with np.errstate(over="raise"):
+            kern = eng._kernel(eng.eta, state.phi)
+            eng.step_r(state, rng)
+        assert np.all(np.isfinite(kern)), value
+        state.check(ds.counts.counts)
