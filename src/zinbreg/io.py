@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import CountMatrix, CovariateMatrix, GroupAssignment
-from .errors import NonIntegerCount, ParseError, UnalignedSampleIds
+from .errors import DataError, NonIntegerCount, ParseError, UnalignedSampleIds
 from .inference import ConcordanceReport, PosteriorSummary
 from .normalization import SizeFactors
 
@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 _INT_RE = re.compile(r"^\d+$")
+# the sampler works on counts as float64, where integers above 2**53 are not exact
+_MAX_COUNT = 2**53
 
 
 def _fmt(x) -> str:
@@ -90,7 +92,13 @@ def read_counts(path) -> CountMatrix:
                 raise NonIntegerCount(
                     f"{path}:{i + 2}:{j + 2}: count {cell!r} is not a non-negative integer"
                 )
-            values[i, j] = int(text)
+            value = int(text)
+            if value > _MAX_COUNT:
+                raise DataError(
+                    f"{path}:{i + 2}:{j + 2}: count {cell!r} exceeds 2**53, the largest "
+                    "integer exact in float64"
+                )
+            values[i, j] = value
     return CountMatrix(values, tuple(sample_ids), feature_ids)
 
 

@@ -21,14 +21,21 @@ mass. The NB has mean ``lam`` and variance ``lam + lam**2 / phi``; large
 The slab priors on group shifts and covariate effects are the
 marginalized scaled-t densities ``t_{2a}(0, b/a)`` obtained by
 integrating a normal slab against its shared inverse-gamma variance.
+
+The log-gamma terms come from the package's own ``special.lgamma`` (the
+vectorized ``lgamma(y + phi)``, ``lgamma(phi)`` and ``lgamma(y + 1)``)
+and from ``math.lgamma`` (the scalar t-density constants), so the
+package needs numpy alone.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
+from .special import lgamma
 
 __all__ = [
     "nb_kernel",
@@ -46,11 +53,11 @@ def log_normal_density(x, var):
 
 
 def log_t_density(x, df, scale_sq):
-    """Log density of a scaled Student t with ``df`` degrees of freedom and
-    squared scale ``scale_sq``, centered at zero."""
+    """Log density of a scaled Student t with ``df`` (a scalar) degrees of
+    freedom and squared scale ``scale_sq``, centered at zero."""
     return (
-        gammaln((df + 1.0) / 2.0)
-        - gammaln(df / 2.0)
+        math.lgamma((df + 1.0) / 2.0)
+        - math.lgamma(df / 2.0)
         - 0.5 * np.log(df * np.pi * scale_sq)
         - ((df + 1.0) / 2.0) * np.log1p(np.square(x) / (df * scale_sq))
     )
@@ -68,7 +75,7 @@ def nb_kernel(y, loglam, phi):
 
 def nb_phi_terms(y, phi):
     """Part of the NB log mass that depends on the dispersion alone."""
-    return gammaln(y + phi) - gammaln(phi) + phi * np.log(phi)
+    return lgamma(y + phi) - lgamma(phi) + phi * np.log(phi)
 
 
 def nb_log_pmf(y, lam, phi):
@@ -88,7 +95,7 @@ def nb_log_pmf(y, lam, phi):
         raise DomainError("phi must be strictly positive and finite")
     if np.any(y < 0) or np.any(y != np.floor(y)):
         raise DomainError("y must be a non-negative integer")
-    out = nb_kernel(y, np.log(lam), phi) + nb_phi_terms(y, phi) - gammaln(y + 1.0)
+    out = nb_kernel(y, np.log(lam), phi) + nb_phi_terms(y, phi) - lgamma(y + 1.0)
     return out if out.ndim else float(out)
 
 

@@ -39,6 +39,15 @@ in single vectorized passes; the one sequential scan (the discrimination
 add-delete, coupled across features by the collapsed prior) precomputes
 its likelihood ratios in a vectorized pass as well. Tests drive
 ``_Engine`` directly, one step at a time.
+
+The special functions come from the package's own ``special.py``: the
+vectorized ``lgamma`` for the dispersion terms and ``sum lgamma(y + 1)``,
+``betaln`` (through ``math.lgamma``) for the collapsed indicator priors,
+and the normal CDF ``ndtr`` and quantile ``ndtri`` for the dispersion
+proposal. That proposal is drawn in the complementary form
+``phi - tau*ndtri((1 - u)*P(N(phi, tau^2) > 0))``, which keeps its
+precision as the uniform ``u`` nears 1, where the argument of
+``ndtri(cdf_lo + u*(1 - cdf_lo))`` rounds near 1 (``_phi_proposal``).
 """
 
 from __future__ import annotations
@@ -49,12 +58,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, gammaln, log_ndtr, ndtr, ndtri
 
 from .data import Dataset, Hyperparameters, ProposalScales
 from .errors import EmptyTrace, NumericalFailure, UsageError
 from .likelihood import log_normal_density, log_t_density, nb_kernel
 from .normalization import SizeFactors, estimate_css
+from .special import betaln, lgamma, ndtr, ndtri
 
 __all__ = [
     "ChainConfig",
@@ -139,14 +148,6 @@ class ModelState:
             delta=self.delta.copy(), phi=self.phi.copy(),
         )
 
-    def check(self, counts: np.ndarray, reference_group: int = 1) -> None:
-        """Assert the state invariants; used by tests and debugging."""
-        assert np.all((self.r == 0) | (counts == 0)), "r=1 at a positive count"
-        assert np.all(self.mu[reference_group - 1] == 0.0), "reference shift not pinned"
-        assert np.all(self.mu[:, self.gamma == 0] == 0.0), "shifts left over at gamma=0"
-        assert np.all(self.beta[self.delta == 0] == 0.0), "effects left over at delta=0"
-        assert np.all(self.phi > 0), "nonpositive dispersion"
-
 
 @dataclass
 class ChainTrace:
@@ -215,14 +216,20 @@ class _Engine:
         # sum of lgamma(y + 1) over the cells not flagged as extra zeros:
         # only zero cells can be flagged and they add nothing, so it is a
         # constant of the data
-        self.log_y_fact = float(gammaln(self.yf + 1.0).sum())
+        self.log_y_fact = float(lgamma(self.yf + 1.0).sum())
         self.group_rows = [np.flatnonzero(self.z0 == k) for k in range(self.K)]
         self.nonref_rows = np.flatnonzero(self.z0 != self.ref0)
         self.hp = hp
         self.prior_only = prior_only
         self.t_df = 2.0 * hp.a_t
         self.t_scale_sq = hp.b_t / hp.a_t
-        self.log_phi_norm = hp.a_phi * math.log(hp.b_phi) - gammaln(hp.a_phi)
+        self.log_phi_norm = hp.a_phi * math.log(hp.b_phi) - math.lgamma(hp.a_phi)
+        # collapsed Beta-Bernoulli log prior of a feature with s of its R
+        # covariate indicators on, for s = 0..R
+        self.delta_log_prior = np.array(
+            [betaln(hp.a_p + s, hp.b_p + self.R - s) - betaln(hp.a_p, hp.b_p)
+             for s in range(self.R + 1)]
+        )
         # live scales (mutated only by the optional burn-in adaptation)
         self.tau_mu0 = scales.tau_mu0
         self.tau_mu = scales.tau_mu
@@ -275,8 +282,10 @@ class _Engine:
         only."""
         plogp = phi * np.log(phi)
         cols = self.nz_cols
-        nz = gammaln(self.nz_y + phi[cols])
-        nz -= gammaln(phi)[cols]
+        x = phi[cols]
+        x += self.nz_y
+        nz = lgamma(x)
+        nz -= lgamma(phi)[cols]
         nz += plogp[cols]
         out = np.tile(plogp, self.n)
         out[self.nz_flat] = nz
@@ -325,14 +334,7 @@ class _Engine:
         lp += betaln(hp.a_omega + s_gamma, hp.b_omega + self.p - s_gamma) - betaln(
             hp.a_omega, hp.b_omega
         )
-        if self.R:
-            s_delta = state.delta.sum(axis=0)
-            lp += float(
-                np.sum(
-                    betaln(hp.a_p + s_delta, hp.b_p + self.R - s_delta)
-                    - betaln(hp.a_p, hp.b_p)
-                )
-            )
+        lp += float(self.delta_log_prior[state.delta.sum(axis=0)].sum())
         n_r1 = int(state.r.sum())
         lp += n_r1 * math.log(hp.a_pi / (hp.a_pi + hp.b_pi))
         lp += (self.n * self.p - n_r1) * math.log(hp.b_pi / (hp.a_pi + hp.b_pi))
@@ -573,9 +575,7 @@ class _Engine:
         tau = self.tau_phi
         u01 = rng.random(p)
         log_u = np.log(rng.random(p))
-        cdf_lo = ndtr(-state.phi / tau)
-        z = ndtri(cdf_lo + u01 * (1.0 - cdf_lo))
-        prop = state.phi + tau * z
+        prop, log_mass = _phi_proposal(state.phi, tau, u01)
         valid = np.isfinite(prop) & (prop > 0)
         prop_safe = np.where(valid, prop, state.phi)
         if self.prior_only:
@@ -587,7 +587,7 @@ class _Engine:
         lpr = (hp.a_phi - 1.0) * (np.log(prop_safe) - np.log(state.phi)) - hp.b_phi * (
             prop_safe - state.phi
         )
-        corr = log_ndtr(state.phi / tau) - log_ndtr(prop_safe / tau)
+        corr = log_mass - np.log1p(-ndtr(-prop_safe / tau))
         accept = valid & (log_u < llr + lpr + corr)
         state.phi[accept] = prop[accept]
         if not self.prior_only:
@@ -622,6 +622,20 @@ class _Engine:
         for m in _MOVES:
             self._window_prop[m] = 0
             self._window_acc[m] = 0
+
+
+def _phi_proposal(phi, tau, u):
+    """Inverse-CDF draws of N(phi, tau^2) truncated to (0, inf) at uniforms
+    ``u`` in [0, 1), and the log mass ``log P(N(phi, tau^2) > 0)``.
+
+    The draw is ``phi - tau*ndtri((1 - u)*P)`` with ``P`` that mass: as u
+    nears 1 the product keeps its relative precision, where the direct
+    form ``ndtri(cdf_lo + u*(1 - cdf_lo))`` rounds its argument to a
+    multiple of 2**-53 near 1 and so coarsens the upper tail of the draws.
+    """
+    cut = ndtr(-phi / tau)
+    prop = phi - tau * ndtri((1.0 - u) * (1.0 - cut))
+    return prop, np.log1p(-cut)
 
 
 def zero_indicator_prob(loglam, phi, a_pi: float, b_pi: float):

@@ -258,6 +258,15 @@ def taxon(state, j, reference_group=1, **overrides):
     return TaxonParams(**fields)
 
 
+def check_state(state, counts, reference_group=1):
+    """Assert the invariants of a sampler state."""
+    assert np.all((state.r == 0) | (counts == 0)), "r=1 at a positive count"
+    assert np.all(state.mu[reference_group - 1] == 0.0), "reference shift not pinned"
+    assert np.all(state.mu[:, state.gamma == 0] == 0.0), "shifts left over at gamma=0"
+    assert np.all(state.beta[state.delta == 0] == 0.0), "effects left over at delta=0"
+    assert np.all(state.phi > 0), "nonpositive dispersion"
+
+
 def mean_alpha(params, x_row, group):
     """Normalized abundance exp(mu0 + gamma*mu_k[group] + x.beta) for one
     sample; the NB mean is the size factor times this."""

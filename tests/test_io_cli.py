@@ -67,6 +67,24 @@ def test_unparseable_count_is_parse_error(tmp_path):
         zio.read_counts(tmp_path / "bad.csv")
 
 
+@pytest.mark.parametrize("text", ["99999999999999999999", str(2**53 + 1)],
+                         ids=["beyond-int64", "beyond-2**53"])
+def test_count_too_large_is_data_error(tiny_files, tmp_path, capsys, text):
+    src, *_ = tiny_files
+    lines = (src / "counts.csv").read_text().splitlines()
+    row = lines[2].split(",")
+    row[3] = text
+    lines[2] = ",".join(row)
+    (src / "counts.csv").write_text("\n".join(lines) + "\n")
+    assert main(_fit_args(src, tmp_path / "fit")) == 2
+    assert f"counts.csv:3:4: count '{text}' exceeds 2**53" in capsys.readouterr().err
+
+
+def test_count_of_2_pow_53_is_read_exactly(tmp_path):
+    (tmp_path / "c.csv").write_text(f"sample_id,f1\ns1,{2**53}\ns2,1\n")
+    assert zio.read_counts(tmp_path / "c.csv").counts[0, 0] == 2**53
+
+
 def test_ragged_row_is_parse_error(tmp_path):
     (tmp_path / "bad.csv").write_text("sample_id,f1,f2\ns1,1\n")
     with pytest.raises(ParseError):
@@ -333,6 +351,34 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_no_scipy_module_is_loaded_by_import_or_fit(tiny_files, tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import zinbreg
+
+    src, *_ = tiny_files
+    env = dict(os.environ, PYTHONPATH=str(Path(zinbreg.__file__).parents[1]))
+    # one worker, so the chains run in this process and a lazy import shows
+    args = _fit_args(src, tmp_path / "fit", ["--iterations", "20", "--threads", "1"])
+    code = f"""
+import sys
+import zinbreg, zinbreg.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(scipy_modules())
+code = zinbreg.cli.main({args!r})
+print(code, scipy_modules())
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    after_import, after_fit = out.stdout.splitlines()
+    assert after_import == "[]"
+    assert after_fit.split(" ", 1)[1] == "[]"
+    assert (tmp_path / "fit" / "ppi_gamma.csv").exists()
 
 
 def test_sim_study_bad_sim_config_is_usage_error(tmp_path, capsys):
