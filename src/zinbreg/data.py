@@ -259,7 +259,8 @@ def validate_inputs(
     if np.any(const):
         bad = [covariates.covariate_ids[i] for i in np.flatnonzero(const)]
         raise ConstantCovariate(f"constant covariate column(s): {', '.join(bad)}")
-    zero_features = np.flatnonzero(counts.counts.sum(axis=0) == 0)
+    # ``any``, not a column sum, which wraps in int64 for large counts
+    zero_features = np.flatnonzero(~counts.counts.any(axis=0))
     if zero_features.size:
         name = counts.feature_ids[int(zero_features[0])]
         raise AllZeroFeature(f"feature {name!r} has no nonzero count in any sample")

@@ -76,30 +76,47 @@ def read_counts(path) -> CountMatrix:
     if len(header) < 2:
         raise ParseError(str(path), 1, 1, "counts need a sample_id column plus features")
     feature_ids = tuple(header[1:])
-    sample_ids = []
-    values = np.zeros((len(body), len(feature_ids)), dtype=np.int64)
-    for i, row in enumerate(body):
-        sample_ids.append(row[0])
-        for j, cell in enumerate(row[1:]):
-            text = cell.strip()
-            if not _INT_RE.match(text):
-                try:
-                    float(text)
-                except ValueError:
-                    raise ParseError(
-                        str(path), i + 2, j + 2, f"unparseable count {cell!r}"
-                    ) from None
-                raise NonIntegerCount(
-                    f"{path}:{i + 2}:{j + 2}: count {cell!r} is not a non-negative integer"
-                )
+    rows = []
+    for i, row in enumerate(body, start=2):
+        cells = [cell.strip() for cell in row[1:]]
+        # str.isdecimal accepts exactly what _INT_RE does (every character a
+        # Unicode decimal digit), and int() parses all of it; isdigit would
+        # also pass '²', which int() refuses
+        if all(map(str.isdecimal, cells)):
+            try:
+                values = list(map(int, cells))
+            except ValueError:  # beyond int()'s digit limit
+                values = None
+            if values is not None and max(values) <= _MAX_COUNT:
+                rows.append(values)
+                continue
+        _raise_bad_count(path, i, row)
+    values = np.array(rows, dtype=np.int64).reshape(len(body), len(feature_ids))
+    return CountMatrix(values, tuple(row[0] for row in body), feature_ids)
+
+
+def _raise_bad_count(path, line: int, row: list[str]) -> None:
+    """Raise the error for the first cell of a count row that is not an
+    integer in [0, 2**53]."""
+    for col, cell in enumerate(row[1:], start=2):
+        text = cell.strip()
+        if not text.isdecimal():
+            try:
+                float(text)
+            except ValueError:
+                raise ParseError(str(path), line, col, f"unparseable count {cell!r}") from None
+            raise NonIntegerCount(
+                f"{path}:{line}:{col}: count {cell!r} is not a non-negative integer"
+            )
+        try:
             value = int(text)
-            if value > _MAX_COUNT:
-                raise DataError(
-                    f"{path}:{i + 2}:{j + 2}: count {cell!r} exceeds 2**53, the largest "
-                    "integer exact in float64"
-                )
-            values[i, j] = value
-    return CountMatrix(values, tuple(sample_ids), feature_ids)
+        except ValueError:  # beyond int()'s digit limit
+            value = _MAX_COUNT + 1
+        if value > _MAX_COUNT:
+            raise DataError(
+                f"{path}:{line}:{col}: count {cell!r} exceeds 2**53, the largest "
+                "integer exact in float64"
+            )
 
 
 def read_covariates(path) -> tuple[CovariateMatrix, tuple[str, ...]]:

@@ -13,10 +13,10 @@ summed over the cells not flagged as extra zeros. Its log splits into
   ``phi*log(phi)`` at ``y = 0``;
 * ``-lgamma(y + 1)``, which depends on the data only.
 
-Every sampler move and the log posterior evaluate the kernel through one
-engine method; ``nb_log_pmf`` adds the other two parts to give the full
-mass. The NB has mean ``lam`` and variance ``lam + lam**2 / phi``; large
-``phi`` recovers the Poisson.
+Every sampler move evaluates the kernel through one engine method, into
+the engine's scratch buffers (``out=``, ``work=``); ``nb_log_pmf`` adds
+the other two parts to give the full mass. The NB has mean ``lam`` and
+variance ``lam + lam**2 / phi``; large ``phi`` recovers the Poisson.
 
 The slab priors on group shifts and covariate effects are the
 marginalized scaled-t densities ``t_{2a}(0, b/a)`` obtained by
@@ -63,14 +63,31 @@ def log_t_density(x, df, scale_sq):
     )
 
 
-def nb_kernel(y, loglam, phi):
+def nb_kernel(y, loglam, phi, out=None, work=None):
     """Mean-dependent part of the NB log mass at count ``y``, log mean
     ``loglam`` and dispersion ``phi`` (broadcastable arrays).
+
+    ``out`` and ``work``, when given, are float64 arrays of the broadcast
+    shape: the result is written into ``out`` and returned, and ``work`` is
+    overwritten. The kernel holds three arrays of that shape at once (the
+    log mean, ``log(lam + phi)`` and ``y + phi``), so a caller that passes
+    both, and a ``loglam`` it owns, allocates nothing. Without them the two
+    are allocated; the arithmetic is the same either way.
 
     Finite for log means up to ~709, where ``exp(loglam)`` overflows; the
     engine clips its log means at +-700.
     """
-    return y * loglam - (y + phi) * np.log(np.exp(loglam) + phi)
+    if out is None:
+        out = np.empty(np.broadcast(y, loglam, phi).shape)
+    if work is None:
+        work = np.empty_like(out)
+    log_sum = np.exp(loglam, out=work)
+    log_sum += phi
+    np.log(log_sum, out=log_sum)  # log(lam + phi)
+    np.add(y, phi, out=out)
+    out *= log_sum
+    np.multiply(y, loglam, out=work)
+    return np.subtract(work, out, out=out)  # y log(lam) - (y + phi) log(lam + phi)
 
 
 def nb_phi_terms(y, phi):

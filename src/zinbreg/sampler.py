@@ -34,17 +34,34 @@ one, and it copies the proposal's cells into the cache where it accepts.
 The log posterior is a masked sum of the cache plus the priors.
 Prior-only chains skip the likelihood, so their moves leave the cache
 alone and the log posterior rebuilds it.
+
+A move's per-cell arithmetic allocates nothing. ``_Engine`` owns five
+flat float64 scratch buffers, allocated once, and every move writes into
+them: its proposal's linear predictor, log mean, kernel (``nb_kernel``'s
+``out=`` and ``work=``), dispersion terms (``lgamma``'s ``out=`` and
+``work=``), the blocks of data and cache it gathers, and the differences
+of its log likelihood ratio. A block move (rows x columns) uses the
+first rows*cols elements of a buffer, reshaped. What a move still
+allocates is per feature, or the size of its accepted columns. The cache
+never points into scratch: ``attach`` copies out of it, and a move
+copies its accepted cells into the cache, since the next move
+overwrites the buffers.
+
 Moves that are conditionally independent across features are evaluated
 in single vectorized passes; the one sequential scan (the discrimination
 add-delete, coupled across features by the collapsed prior) precomputes
-its likelihood ratios in a vectorized pass as well. Tests drive
-``_Engine`` directly, one step at a time.
+its likelihood ratios in a vectorized pass as well, runs on Python lists
+with its prior ratios looked up in tables over the count of indicators
+on, and writes its shift changes in one vectorized step afterwards.
+Tests drive ``_Engine`` directly, one step at a time.
 
 The special functions come from the package's own ``special.py``: the
 vectorized ``lgamma`` for the dispersion terms and ``sum lgamma(y + 1)``,
 ``betaln`` (through ``math.lgamma``) for the collapsed indicator priors,
 and the normal CDF ``ndtr`` and quantile ``ndtri`` for the dispersion
-proposal. That proposal is drawn in the complementary form
+proposal; ``ndtr(-phi/tau)`` of the current dispersions is kept between
+sweeps, as the proposal's value is computed anyway. That proposal is
+drawn in the complementary form
 ``phi - tau*ndtri((1 - u)*P(N(phi, tau^2) > 0))``, which keeps its
 precision as the uniform ``u`` nears 1, where the argument of
 ``ndtri(cdf_lo + u*(1 - cdf_lo))`` rounds near 1 (``_phi_proposal``).
@@ -83,10 +100,28 @@ THREADS_ENV_VAR = "ZINBREG_THREADS"
 _ETA_CLIP = 700.0
 
 
-def _log_mean(log_s, eta) -> np.ndarray:
+def _log_mean(log_s, eta, out=None) -> np.ndarray:
     """Log mean ``log_s + eta`` clipped at +-``_ETA_CLIP``."""
-    out = log_s + eta
+    out = np.add(log_s, eta, out=out)
     return np.clip(out, -_ETA_CLIP, _ETA_CLIP, out=out)
+
+
+def _view(buf, shape) -> np.ndarray:
+    """The first ``prod(shape)`` elements of the flat scratch ``buf``, in
+    ``shape``."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _take(a, index, buf, axis=None) -> np.ndarray:
+    """``np.take(a, index, axis)`` written into the flat scratch ``buf``."""
+    if axis is None:
+        shape = np.shape(index)
+    else:
+        shape = list(a.shape)
+        shape[axis] = len(index)
+    # the indices are valid; mode="clip" writes straight into ``out``, where
+    # the default mode="raise" would go through a temporary copy
+    return np.take(a, index, axis=axis, out=_view(buf, shape), mode="clip")
 
 
 _MOVES = (
@@ -186,8 +221,9 @@ class ChainTrace:
 
 
 class _Engine:
-    """Precomputed data views, the per-cell cache of the current state, and
-    the five update steps."""
+    """Precomputed data views, the per-cell cache of the current state, the
+    scratch buffers the moves write their proposals into, and the five
+    update steps."""
 
     def __init__(
         self,
@@ -208,7 +244,9 @@ class _Engine:
         self.nonref = [k for k in range(self.K) if k != self.ref0]
         self.s = size_factors.values
         self.log_s = np.log(self.s)
-        self.zero_rows, self.zero_cols = np.nonzero(y == 0)
+        # zero cells as flat indices into (n, p) and as rows and columns
+        self.zero_flat = np.flatnonzero(y == 0)
+        self.zero_rows, self.zero_cols = np.divmod(self.zero_flat, self.p)
         # nonzero cells as flat indices into (n, p), their columns and counts
         self.nz_flat = np.flatnonzero(y)
         self.nz_cols = self.nz_flat % self.p
@@ -230,6 +268,15 @@ class _Engine:
             [betaln(hp.a_p + s, hp.b_p + self.R - s) - betaln(hp.a_p, hp.b_p)
              for s in range(self.R + 1)]
         )
+        # collapsed prior ratios of a discrimination delete and add with s of
+        # the p indicators on, for s = 0..p (nan where the move cannot occur)
+        a, b, p = hp.a_omega, hp.b_omega, self.p
+        self.gamma_del_prior = [math.nan] + [
+            math.log((b + p - s) / (a + s - 1.0)) for s in range(1, p + 1)
+        ]
+        self.gamma_add_prior = [
+            math.log((a + s) / (b + p - s - 1.0)) for s in range(p)
+        ] + [math.nan]
         # live scales (mutated only by the optional burn-in adaptation)
         self.tau_mu0 = scales.tau_mu0
         self.tau_mu = scales.tau_mu
@@ -244,17 +291,33 @@ class _Engine:
         self.eta: np.ndarray | None = None     # mu0 + mu[group] + x @ beta
         self.kern: np.ndarray | None = None    # nb_kernel at eta
         self.phit: np.ndarray | None = None    # nb_phi_terms at phi
+        # ndtr(-phi/tau_phi) at the current dispersions; None after the
+        # scale changes
+        self._phi_cut: np.ndarray | None = None
+        # scratch: five flat buffers of (n + 1) p elements, room for the n p
+        # cells and for the dispersion terms' lgamma arguments (one per
+        # nonzero cell and one per feature)
+        self._scratch = np.empty((5, (self.n + 1) * self.p))
+        (
+            self._eta_new,    # the proposal's linear predictor
+            self._lm,         # its log mean; the old block of a ratio
+            self._kern_new,   # the kernel at the proposal
+            self._work,       # the kernel's working space; differences
+            self._phit_new,   # dispersion terms at a proposal; count blocks
+        ) = self._scratch
 
     # -- bookkeeping ---------------------------------------------------
 
     def attach(self, state: ModelState) -> None:
-        """Build the per-cell cache from ``state``."""
+        """Build the per-cell cache from ``state``. The cache is copied out
+        of the scratch buffers, which the next move overwrites."""
         self.active = 1.0 - state.r.astype(np.float64)
         self.eta = state.mu0[None, :] + state.mu[self.z0, :]
         if self.R:
             self.eta += self.x @ state.beta
-        self.kern = self._kernel(self.eta, state.phi)
-        self.phit = self._phi_terms(state.phi)
+        self.kern = self._kernel(self.eta, state.phi).copy()
+        self.phit = self._phi_terms(state.phi).copy()
+        self._phi_cut = ndtr(-state.phi / self.tau_phi)
 
     def _count(self, move: str, proposed: int, accepted: int) -> None:
         self.proposal_counts[move] += int(proposed)
@@ -264,39 +327,52 @@ class _Engine:
 
     # -- likelihood kernels ---------------------------------------------
 
-    def _kernel(self, eta, phi, rows=None, cols=None) -> np.ndarray:
-        """NB kernel on the rows x cols block (all rows / all columns when
-        None). ``eta`` is the block's linear predictor and ``phi`` the
-        full dispersion vector."""
-        y, log_s = self.yf, self.log_s
-        if cols is not None:
-            y, phi = y[:, cols], phi[cols]
-        if rows is not None:
-            y, log_s = y[rows], log_s[rows]
-        return nb_kernel(y, _log_mean(log_s[:, None], eta), phi[None, :])
+    def _kernel(self, eta, phi, y=None, log_s=None) -> np.ndarray:
+        """NB kernel at the linear predictor ``eta``, into scratch: on all
+        cells, or on a block of them given its counts ``y``, its rows' log
+        size factors ``log_s`` and its columns' dispersions ``phi``."""
+        y = self.yf if y is None else y
+        log_s = self.log_s if log_s is None else log_s
+        shape = eta.shape
+        loglam = _log_mean(log_s[:, None], eta, out=_view(self._lm, shape))
+        return nb_kernel(
+            y, loglam, phi[None, :],
+            out=_view(self._kern_new, shape), work=_view(self._work, shape),
+        )
 
     def _phi_terms(self, phi) -> np.ndarray:
         """``nb_phi_terms(y, phi)`` on the (n, p) grid for the dispersion
-        vector ``phi``. At a zero count ``lgamma(y + phi) - lgamma(phi)``
-        is exactly 0, so ``lgamma`` is evaluated on the nonzero counts
-        only."""
+        vector ``phi``, into scratch. At a zero count
+        ``lgamma(y + phi) - lgamma(phi)`` is exactly 0, so ``lgamma`` is
+        evaluated on the nonzero counts only, in one call with
+        ``lgamma(phi)``."""
+        cols, nnz = self.nz_cols, self.nz_flat.size
+        size = nnz + self.p
+        arg = self._eta_new[:size]
+        np.take(phi, cols, out=arg[:nnz], mode="clip")
+        arg[:nnz] += self.nz_y
+        arg[nnz:] = phi
+        lg = lgamma(arg, out=self._lm[:size], work=self._work[:size])
+        nz = lg[:nnz]
+        nz -= np.take(lg[nnz:], cols, out=arg[:nnz], mode="clip")
         plogp = phi * np.log(phi)
-        cols = self.nz_cols
-        x = phi[cols]
-        x += self.nz_y
-        nz = lgamma(x)
-        nz -= lgamma(phi)[cols]
-        nz += plogp[cols]
-        out = np.tile(plogp, self.n)
-        out[self.nz_flat] = nz
-        return out.reshape(self.n, self.p)
+        nz += np.take(plogp, cols, out=arg[:nnz], mode="clip")
+        out = _view(self._phit_new, (self.n, self.p))
+        out[...] = plogp
+        np.put(out, self.nz_flat, nz)
+        return out
 
-    @staticmethod
-    def _llr(new, old, active) -> np.ndarray:
-        """Per-column sum of ``new - old`` over the cells not flagged as
-        extra zeros."""
-        d = new - old
-        d *= active
+    def _llr(self, kern, index=None, axis=None) -> np.ndarray:
+        """Per-column sum of the proposal's ``kern`` minus the cached kernel
+        over the cells not flagged as extra zeros: on all cells, or on the
+        block that ``_take(..., index, axis)`` picks."""
+        if index is None:
+            d = np.subtract(kern, self.kern, out=_view(self._work, kern.shape))
+            d *= self.active
+        else:
+            d = _take(self.kern, index, self._lm, axis)
+            np.subtract(kern, d, out=d)
+            d *= _take(self.active, index, self._work, axis)
         return d.sum(axis=0)
 
     def _commit(self, accept, eta, kern) -> None:
@@ -315,7 +391,7 @@ class _Engine:
         hp = self.hp
         if self.prior_only:
             self.attach(state)  # prior-only moves leave the cache stale
-        t = self.kern + self.phit
+        t = np.add(self.kern, self.phit, out=_view(self._work, self.kern.shape))
         t *= self.active
         ll = float(t.sum()) - self.log_y_fact
         lp = float(np.sum(log_normal_density(state.mu0, hp.sigma0_sq)))
@@ -364,21 +440,27 @@ class _Engine:
     # -- step 1: extra-zero indicators ------------------------------------
 
     def step_r(self, state: ModelState, rng: np.random.Generator) -> None:
-        m = self.zero_rows.size
+        m = self.zero_flat.size
         if m == 0:
             return
         hp = self.hp
-        u = rng.random(m)
         if self.prior_only:
             p1 = hp.a_pi / (hp.a_pi + hp.b_pi)
         else:
             loglam0 = _log_mean(
-                self.log_s[self.zero_rows], self.eta[self.zero_rows, self.zero_cols]
+                _take(self.log_s, self.zero_rows, self._lm),
+                _take(self.eta, self.zero_flat, self._eta_new),
+                out=self._lm[:m],
             )
-            p1 = zero_indicator_prob(loglam0, state.phi[self.zero_cols], hp.a_pi, hp.b_pi)
+            p1 = zero_indicator_prob(
+                loglam0, _take(state.phi, self.zero_cols, self._phit_new),
+                hp.a_pi, hp.b_pi, out=self._kern_new[:m], work=self._work[:m],
+            )
+        u = rng.random(m, out=self._eta_new[:m])  # the step's only draw
         rnew = u < p1
         state.r[self.zero_rows, self.zero_cols] = rnew
-        self.active[self.zero_rows, self.zero_cols] = ~rnew
+        active = np.subtract(1.0, rnew, out=self._work[:m])
+        self.active[self.zero_rows, self.zero_cols] = active
         self._count("r", m, int(rnew.sum()))
 
     # -- step 2: feature baselines ----------------------------------------
@@ -390,9 +472,9 @@ class _Engine:
         if self.prior_only:
             llr = 0.0
         else:
-            eta = self.eta + (prop - state.mu0)
+            eta = np.add(self.eta, prop - state.mu0, out=_view(self._eta_new, self.eta.shape))
             kern = self._kernel(eta, state.phi)
-            llr = self._llr(kern, self.kern, self.active)
+            llr = self._llr(kern)
         lpr = (np.square(state.mu0) - np.square(prop)) / (2.0 * self.hp.sigma0_sq)
         accept = log_u < llr + lpr
         state.mu0[accept] = prop[accept]
@@ -403,14 +485,18 @@ class _Engine:
     # -- step 3: discrimination indicators and group shifts ----------------
 
     def step_gamma_mu(self, state: ModelState, rng: np.random.Generator) -> None:
-        p, hp = self.p, self.hp
+        self._gamma_add_delete(state, rng)
+        self._mu_within(state, rng)
+
+    def _gamma_add_delete(self, state: ModelState, rng: np.random.Generator) -> None:
+        p = self.p
         nonref = self.nonref
         nr = len(nonref)
         perm = rng.permutation(p)
         prop = self.tau_mu * rng.standard_normal((nr, p))
         log_u = np.log(rng.random(p))
 
-        gamma_before = state.gamma.copy()
+        on = state.gamma.astype(bool)
         if self.prior_only:
             llr = np.zeros(p)
         else:
@@ -418,57 +504,61 @@ class _Engine:
             # the reference group's rows do not change
             rows = self.nonref_rows
             d_mu = np.zeros((self.K, p))
-            on = state.gamma.astype(bool)
             for i, k in enumerate(nonref):
                 d_mu[k] = np.where(on, -state.mu[k], prop[i])
-            eta = self.eta[rows] + d_mu[self.z0[rows], :]
-            kern = self._kernel(eta, state.phi, rows=rows)
-            llr = self._llr(kern, self.kern[rows], self.active[rows])
+            eta = _take(self.eta, rows, self._eta_new, axis=0)
+            eta += _take(d_mu, self.z0[rows], self._work, axis=0)
+            y = _take(self.yf, rows, self._phit_new, axis=0)
+            kern = self._kernel(eta, state.phi, y, self.log_s[rows])
+            llr = self._llr(kern, rows, axis=0)
 
         t_prop = log_t_density(prop, self.t_df, self.t_scale_sq).sum(axis=0)
         q_prop = log_normal_density(prop, self.tau_mu**2).sum(axis=0)
         mu_cur = state.mu[nonref, :] if nr else np.zeros((0, p))
         t_cur = log_t_density(mu_cur, self.t_df, self.t_scale_sq).sum(axis=0)
         q_cur = log_normal_density(mu_cur, self.tau_mu**2).sum(axis=0)
+        # the proposal terms of each feature's flip: q - t of its current
+        # shifts for a delete, t - q of the proposed ones for an add
+        plus = np.where(on, q_cur, t_prop)
+        minus = np.where(on, t_cur, q_prop)
 
-        s_gamma = int(state.gamma.sum())
-        n_add = n_del = acc_add = acc_del = 0
-        for j in perm:
-            if state.gamma[j]:
-                n_del += 1
-                lr = (
-                    llr[j]
-                    + math.log((hp.b_omega + p - s_gamma) / (hp.a_omega + s_gamma - 1.0))
-                    + q_cur[j] - t_cur[j]
-                )
-                if log_u[j] < lr:
-                    state.gamma[j] = 0
-                    for k in nonref:
-                        state.mu[k, j] = 0.0
-                    s_gamma -= 1
-                    acc_del += 1
-            else:
-                n_add += 1
-                lr = (
-                    llr[j]
-                    + math.log((hp.a_omega + s_gamma) / (hp.b_omega + p - s_gamma - 1.0))
-                    + t_prop[j] - q_prop[j]
-                )
-                if log_u[j] < lr:
-                    state.gamma[j] = 1
-                    for i, k in enumerate(nonref):
-                        state.mu[k, j] = prop[i, j]
-                    s_gamma += 1
-                    acc_add += 1
-        self._count("gamma_add", n_add, acc_add)
-        self._count("gamma_delete", n_del, acc_del)
+        cols = self._gamma_scan(perm, state.gamma, llr, log_u, plus, minus)
+        added = ~on[cols]
+        state.gamma[cols] = added
+        state.mu[np.ix_(nonref, cols)] = np.where(added, prop[:, cols], 0.0)
+        n_on = int(on.sum())
+        acc_add = int(added.sum())
+        self._count("gamma_add", p - n_on, acc_add)
+        self._count("gamma_delete", n_on, cols.size - acc_add)
         if not self.prior_only:
-            cols = np.flatnonzero(state.gamma != gamma_before)
             self._commit_block(rows, cols, eta[:, cols], kern[:, cols])
 
-        # within-model refresh of every active shift, one group at a time
+    def _gamma_scan(self, perm, gamma, llr, log_u, plus, minus) -> np.ndarray:
+        """The discrimination add-delete decisions, feature by feature in
+        the order ``perm``: the collapsed prior couples the features through
+        the running count of indicators on, so this is the one sequential
+        scan. ``llr`` is each flip's log likelihood ratio, ``plus - minus``
+        its proposal terms. Returns the flipped features."""
+        gamma = gamma.tolist()
+        llr, log_u = llr.tolist(), log_u.tolist()
+        plus, minus = plus.tolist(), minus.tolist()
+        del_prior, add_prior = self.gamma_del_prior, self.gamma_add_prior
+        s_gamma = sum(gamma)
+        flips = []
+        for j in perm.tolist():
+            g = gamma[j]
+            prior = del_prior[s_gamma] if g else add_prior[s_gamma]
+            if log_u[j] < llr[j] + prior + plus[j] - minus[j]:
+                gamma[j] = 1 - g
+                s_gamma += 1 - 2 * g
+                flips.append(j)
+        return np.array(flips, dtype=np.intp)
+
+    def _mu_within(self, state: ModelState, rng: np.random.Generator) -> None:
+        """Within-model refresh of every active shift, one group at a time."""
+        p = self.p
         act = np.flatnonzero(state.gamma)
-        for k in nonref:
+        for k in self.nonref:
             step = 0.5 * self.tau_mu * rng.standard_normal(act.size)
             log_uu = np.log(rng.random(act.size))
             if act.size == 0:
@@ -479,10 +569,12 @@ class _Engine:
                 llr_w = 0.0
             else:
                 rows = self.group_rows[k]
-                block = np.ix_(rows, act)
-                eta = self.eta[block] + step
-                kern = self._kernel(eta, state.phi, rows, act)
-                llr_w = self._llr(kern, self.kern[block], self.active[block])
+                block = rows[:, None] * p + act  # flat indices of rows x act
+                eta = _take(self.eta, block, self._eta_new)
+                eta += step
+                y = _take(self.yf, block, self._phit_new)
+                kern = self._kernel(eta, state.phi[act], y, self.log_s[rows])
+                llr_w = self._llr(kern, block)
             lpr = log_t_density(prp, self.t_df, self.t_scale_sq) - log_t_density(
                 cur, self.t_df, self.t_scale_sq
             )
@@ -495,9 +587,13 @@ class _Engine:
     # -- step 4: covariate indicators and effects --------------------------
 
     def step_delta_beta(self, state: ModelState, rng: np.random.Generator) -> None:
-        R, p, hp = self.R, self.p, self.hp
-        if R == 0:
+        if self.R == 0:
             return
+        self._delta_add_delete(state, rng)
+        self._beta_within(state, rng)
+
+    def _delta_add_delete(self, state: ModelState, rng: np.random.Generator) -> None:
+        R, p, hp = self.R, self.p, self.hp
         pick = rng.integers(0, R, size=p)
         prop = self.tau_beta * rng.standard_normal(p)
         log_u = np.log(rng.random(p))
@@ -510,9 +606,11 @@ class _Engine:
         if self.prior_only:
             llr = np.zeros(p)
         else:
-            eta = self.eta + self.x[:, pick] * (new_b - old_b)
+            eta = _take(self.x, pick, self._eta_new, axis=1)
+            eta *= new_b - old_b
+            eta += self.eta
             kern = self._kernel(eta, state.phi)
-            llr = self._llr(kern, self.kern, self.active)
+            llr = self._llr(kern)
 
         s_delta = state.delta.sum(axis=0).astype(np.float64)
         lr = np.empty(p)
@@ -541,8 +639,10 @@ class _Engine:
         self._count("delta_add", int(add.sum()), int((accept & add).sum()))
         self._count("delta_delete", int(cur_on.sum()), int((accept & cur_on).sum()))
 
-        # within-model refresh of every active effect, one covariate at a time
-        for r_idx in range(R):
+    def _beta_within(self, state: ModelState, rng: np.random.Generator) -> None:
+        """Within-model refresh of every active effect, one covariate at a
+        time."""
+        for r_idx in range(self.R):
             act = np.flatnonzero(state.delta[r_idx])
             step = 0.5 * self.tau_beta * rng.standard_normal(act.size)
             log_uu = np.log(rng.random(act.size))
@@ -553,9 +653,14 @@ class _Engine:
             if self.prior_only:
                 llr_w = 0.0
             else:
-                eta = self.eta[:, act] + self.x[:, r_idx][:, None] * step
-                kern = self._kernel(eta, state.phi, cols=act)
-                llr_w = self._llr(kern, self.kern[:, act], self.active[:, act])
+                shift = np.multiply(
+                    self.x[:, r_idx, None], step, out=_view(self._work, (self.n, act.size))
+                )
+                eta = _take(self.eta, act, self._eta_new, axis=1)
+                eta += shift
+                y = _take(self.yf, act, self._phit_new, axis=1)
+                kern = self._kernel(eta, state.phi[act], y)
+                llr_w = self._llr(kern, act, axis=1)
             lpr = log_t_density(prp, self.t_df, self.t_scale_sq) - log_t_density(
                 cur, self.t_df, self.t_scale_sq
             )
@@ -575,7 +680,9 @@ class _Engine:
         tau = self.tau_phi
         u01 = rng.random(p)
         log_u = np.log(rng.random(p))
-        prop, log_mass = _phi_proposal(state.phi, tau, u01)
+        if self._phi_cut is None:
+            self._phi_cut = ndtr(-state.phi / tau)
+        prop, log_mass = _phi_proposal(state.phi, tau, u01, self._phi_cut)
         valid = np.isfinite(prop) & (prop > 0)
         prop_safe = np.where(valid, prop, state.phi)
         if self.prior_only:
@@ -583,13 +690,18 @@ class _Engine:
         else:
             kern = self._kernel(self.eta, prop_safe)
             phit = self._phi_terms(prop_safe)
-            llr = self._llr(kern + phit, self.kern + self.phit, self.active)
+            d = np.add(kern, phit, out=_view(self._work, kern.shape))
+            d -= np.add(self.kern, self.phit, out=_view(self._lm, kern.shape))
+            d *= self.active
+            llr = d.sum(axis=0)
         lpr = (hp.a_phi - 1.0) * (np.log(prop_safe) - np.log(state.phi)) - hp.b_phi * (
             prop_safe - state.phi
         )
-        corr = log_mass - np.log1p(-ndtr(-prop_safe / tau))
+        cut = ndtr(-prop_safe / tau)
+        corr = log_mass - np.log1p(-cut)
         accept = valid & (log_u < llr + lpr + corr)
         state.phi[accept] = prop[accept]
+        self._phi_cut[accept] = cut[accept]
         if not self.prior_only:
             np.copyto(self.kern, kern, where=accept)
             np.copyto(self.phit, phit, where=accept)
@@ -622,35 +734,44 @@ class _Engine:
         for m in _MOVES:
             self._window_prop[m] = 0
             self._window_acc[m] = 0
+        self._phi_cut = None  # tau_phi may have changed
 
 
-def _phi_proposal(phi, tau, u):
+def _phi_proposal(phi, tau, u, cut=None):
     """Inverse-CDF draws of N(phi, tau^2) truncated to (0, inf) at uniforms
-    ``u`` in [0, 1), and the log mass ``log P(N(phi, tau^2) > 0)``.
+    ``u`` in [0, 1), and the log mass ``log P(N(phi, tau^2) > 0)``;
+    ``cut`` is ``ndtr(-phi/tau)`` when the caller has it.
 
     The draw is ``phi - tau*ndtri((1 - u)*P)`` with ``P`` that mass: as u
     nears 1 the product keeps its relative precision, where the direct
     form ``ndtri(cdf_lo + u*(1 - cdf_lo))`` rounds its argument to a
     multiple of 2**-53 near 1 and so coarsens the upper tail of the draws.
     """
-    cut = ndtr(-phi / tau)
+    if cut is None:
+        cut = ndtr(-phi / tau)
     prop = phi - tau * ndtri((1.0 - u) * (1.0 - cut))
     return prop, np.log1p(-cut)
 
 
-def zero_indicator_prob(loglam, phi, a_pi: float, b_pi: float):
+def zero_indicator_prob(loglam, phi, a_pi: float, b_pi: float, out=None, work=None):
     """Conditional probability that an observed zero with log mean
     ``loglam`` and dispersion ``phi`` is an extra zero.
 
     The two unnormalized weights are the Beta-function ratios of the
     collapsed per-entry prior, the r=0 one additionally carrying the NB
-    mass at zero.
+    mass at zero. ``out`` and ``work`` are as in ``nb_kernel``.
     """
     loglam = np.asarray(loglam, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
+    out = nb_kernel(0.0, loglam, phi, out=out, work=work)
     # at y=0 the dispersion-only terms reduce to phi*log(phi)
-    log_nb0 = nb_kernel(0.0, loglam, phi) + phi * np.log(phi)
-    out = a_pi / (a_pi + b_pi * np.exp(log_nb0))
+    plogp = np.log(phi, out=work) if work is not None else np.log(phi)
+    plogp *= phi
+    out += plogp
+    np.exp(out, out=out)
+    out *= b_pi
+    out += a_pi
+    np.divide(a_pi, out, out=out)
     return out if out.ndim else float(out)
 
 

@@ -24,10 +24,10 @@ import numpy as np
 __all__ = ["lgamma", "betaln", "ndtr", "ndtri"]
 
 
-def _horner(coeffs, x) -> np.ndarray:
+def _horner(coeffs, x, out=None) -> np.ndarray:
     """Polynomial with ``coeffs`` (highest degree first) at ``x``; with
     coefficients of shape (k, 1), k polynomials at once, in k rows."""
-    out = x * coeffs[0]
+    out = np.multiply(x, coeffs[0], out=out)
     for c in coeffs[1:-1]:
         out += c
         out *= x
@@ -53,13 +53,12 @@ _RISING = np.arange(_SHIFT)  # x (x+1) ... (x+7) = prod(x + _RISING)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _stirling(z) -> np.ndarray:
+def _stirling(z, out, buf) -> np.ndarray:
     """lgamma of the 1-d array ``z`` by its Stirling series, accurate for
-    z >= 8. It works in place on two buffers of z's size: on the engine's
-    arrays, fresh temporaries cost more in page faults than the arithmetic."""
-    buf = z * z
+    z >= 8, into ``out``, with ``buf`` as working space (both of z's size)."""
+    np.multiply(z, z, out=buf)
     np.divide(1.0, buf, out=buf)
-    out = _horner(_STIRLING, buf)
+    _horner(_STIRLING, buf, out)
     out /= z
     out += _HALF_LOG_2PI - 0.5
     # (z - 1/2)(log z - 1) as z(log z - 1) - (log z - 1)/2, so that its
@@ -75,19 +74,42 @@ def _stirling(z) -> np.ndarray:
     return out
 
 
-def lgamma(x) -> np.ndarray:
-    """Log-gamma of each element of ``x`` (positive finite reals)."""
+def lgamma(x, out=None, work=None) -> np.ndarray:
+    """Log-gamma of each element of ``x`` (positive finite reals).
+
+    ``out`` and ``work``, when given, are contiguous float64 arrays of x's
+    size: the result is written into ``out`` (and returned in x's shape),
+    and ``work`` is overwritten. Fresh arrays of that size cost more in
+    page faults than the arithmetic, so a caller that evaluates lgamma
+    often passes the same two each time.
+    """
     x = np.asarray(x, dtype=np.float64)
     shape = x.shape
     x = x.ravel()  # in-place steps need arrays, not 0-d scalars
+    out = np.empty_like(x) if out is None else out.reshape(x.size)
+    work = np.empty_like(x) if work is None else work.reshape(x.size)
     # every element takes the series; those below the shift, where it is
     # inaccurate (and may overflow), are then replaced from the recurrence
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = _stirling(x)
+        _stirling(x, out, work)
     small = x < _SHIFT
     xs = x[small]
-    prod = np.prod(xs[:, None] + _RISING, axis=1)
-    out[small] = _stirling(xs + _SHIFT) - np.log(prod)
+    m = xs.size
+    # three working arrays of the small elements' count, from ``work`` when
+    # it has room
+    pool = work if 3 * m <= work.size else np.empty(3 * m)
+    prod, tmp, buf = pool[: 3 * m].reshape(3, m)
+    # x (x+1) ... (x+7), multiplied in that order
+    np.add(xs, 1.0, out=prod)
+    prod *= xs
+    for k in _RISING[2:]:
+        np.add(xs, k, out=tmp)
+        prod *= tmp
+    np.log(prod, out=prod)
+    xs += _SHIFT
+    _stirling(xs, tmp, buf)
+    tmp -= prod
+    out[small] = tmp
     return out.reshape(shape)
 
 

@@ -45,6 +45,18 @@ def test_validate_rejects_all_zero_feature():
         validate_inputs(counts, covs, groups)
 
 
+def test_validate_accepts_feature_whose_counts_sum_past_int64():
+    # 2048 counts of 2**53 sum to 2**64, which an int64 column sum wraps to 0
+    n = 2048
+    y = np.zeros((n, 2), dtype=np.int64)
+    y[:, 0] = 2**53
+    y[: n // 2, 1] = 1
+    assert y[:, 0].sum() == 0
+    covs = CovariateMatrix(np.arange(n, dtype=float)[:, None], ("c",))
+    groups = GroupAssignment(1 + np.arange(n) % 2, 2)
+    assert validate_inputs(make_counts(y), covs, groups).counts.p == 2
+
+
 def test_validate_rejects_constant_covariate():
     counts = make_counts([[1, 2], [3, 4], [5, 6]])
     covs = CovariateMatrix([[7.0], [7.0], [7.0]], ("c",))

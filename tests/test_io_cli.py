@@ -67,6 +67,23 @@ def test_unparseable_count_is_parse_error(tmp_path):
         zio.read_counts(tmp_path / "bad.csv")
 
 
+def test_non_ascii_digit_cells(tmp_path):
+    # a Unicode decimal digit is an integer, as for int(); a superscript
+    # digit is a digit to str.isdigit but not to int()
+    (tmp_path / "c.csv").write_text("sample_id,f1,f2\ns1,٣,1\ns2,1,2\n", encoding="utf-8")
+    assert zio.read_counts(tmp_path / "c.csv").counts[0, 0] == 3
+    (tmp_path / "bad.csv").write_text("sample_id,f1,f2\ns1,1,2\ns2,1,²\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        zio.read_counts(tmp_path / "bad.csv")
+    assert (err.value.line, err.value.column) == (3, 3)
+
+
+def test_first_bad_count_is_reported(tmp_path):
+    (tmp_path / "bad.csv").write_text("sample_id,f1,f2,f3\ns1,1,2,3\ns2,4,x,2.5\n")
+    with pytest.raises(ParseError, match="bad.csv:3:3: unparseable count 'x'"):
+        zio.read_counts(tmp_path / "bad.csv")
+
+
 @pytest.mark.parametrize("text", ["99999999999999999999", str(2**53 + 1)],
                          ids=["beyond-int64", "beyond-2**53"])
 def test_count_too_large_is_data_error(tiny_files, tmp_path, capsys, text):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from zinbreg.data import (
     GroupAssignment,
     Hyperparameters,
     ProposalScales,
+    filter_low_abundance,
     standardize_covariates,
     validate_inputs,
 )
@@ -616,9 +619,9 @@ def test_moves_evaluate_the_kernel_once(monkeypatch):
     cells = {"kernel": 0, "lgamma": 0}
 
     def counting(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **buffers):
             cells[name] += np.broadcast(*args).size
-            return fn(*args)
+            return fn(*args, **buffers)
         return wrapper
 
     monkeypatch.setattr(sampler, "nb_kernel", counting("kernel", sampler.nb_kernel))
@@ -665,3 +668,50 @@ def test_clipped_log_means_keep_the_likelihood_finite():
             eng.step_r(state, rng)
         assert np.all(np.isfinite(kern)), value
         oracle.check_state(state, ds.counts.counts)
+
+
+def _wide_dataset(p, seed):
+    """Small counts with extra zeros, n=60 and 7 covariates, as in a wide fit."""
+    counts, covs, groups, _ = generate_zinb(
+        n=60, p=p, n_disc=20, n_covariates=7, m_active=4, pi_zero=0.3, phi=2.0,
+        mu0_low=1.5, mu0_high=5.0, shift_size=1.5, seed=seed,
+    )
+    counts = filter_low_abundance(counts, groups)
+    return validate_inputs(counts, standardize_covariates(covs), groups)
+
+
+def test_warm_sweep_allocates_at_most_one_grid():
+    # the moves write their proposals into the engine's scratch buffers;
+    # what a sweep still allocates (index and accepted-column blocks,
+    # per-feature vectors) stays below one (n, p) float64 grid
+    ds = _wide_dataset(1000, seed=3)
+    eng, state = _start(ds, 4)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        eng.sweep(state, rng)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        eng.sweep(state, rng)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= ds.n * ds.p * 8
+
+
+def test_cache_shares_no_memory_with_the_scratch_buffers():
+    ds = _three_group_dataset(98)
+    eng, state = _start(ds, 14)
+    rng = np.random.default_rng(15)
+
+    def assert_apart():
+        for cache in (eng.eta, eng.kern, eng.phit, eng.active):
+            assert not np.shares_memory(cache, eng._scratch)
+
+    assert_apart()
+    for _ in range(5):
+        eng.sweep(state, rng)
+        assert_apart()
+    eng.attach(state)
+    assert_apart()

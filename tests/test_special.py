@@ -53,6 +53,20 @@ def test_lgamma_keeps_shape():
     assert lgamma(np.ones((2, 3))).shape == (2, 3)
 
 
+def test_lgamma_into_caller_buffers_is_elementwise():
+    # with the caller's out and work, the small arguments' working arrays
+    # come from work when it has room (few small) and are fresh when not
+    # (most small); either way each element gets the value it gets alone
+    rng = np.random.default_rng(3)
+    for small_share in (0.1, 0.9):
+        small = rng.random(500) < small_share
+        x = np.where(small, rng.uniform(1e-3, 8.0, 500), rng.uniform(8.0, 1e6, 500))
+        out, work = np.empty(x.size), np.empty(x.size)
+        got = lgamma(x, out=out, work=work)
+        assert np.shares_memory(got, out)
+        np.testing.assert_array_equal(got, [lgamma(v) for v in x])
+
+
 def test_betaln_matches_scipy():
     for a, b in ((0.5, 0.5), (1.0, 99.0), (3.0, 1000.0), (250.0, 750.0)):
         ref = float(sp.betaln(a, b))
