@@ -34,7 +34,7 @@ def calibration_dataset():
     covs = standardize_covariates(
         CovariateMatrix(rng.standard_normal((10, 2)), ("c1", "c2"))
     )
-    return validate_inputs(counts, covs, GroupAssignment(1 + np.arange(10) % 2, 2)), y
+    return validate_inputs(counts, covs, GroupAssignment(1 + np.arange(10) % 2, 2))
 
 
 def main():
@@ -44,7 +44,7 @@ def main():
     parser.add_argument("--seed", type=int, default=3)
     args = parser.parse_args()
 
-    ds, y = calibration_dataset()
+    ds = calibration_dataset()
     hp = Hyperparameters()
     # scales sized to the prior so the walks traverse its support quickly
     scales = ProposalScales(tau_mu0=8.0, tau_mu=2.0, tau_beta=2.0, tau_phi=120.0)
@@ -59,7 +59,8 @@ def main():
          hp.a_omega / (hp.a_omega + hp.b_omega)),
         ("delta", trace.delta_sums.sum() / (t * ds.p * ds.n_covariates),
          hp.a_p / (hp.a_p + hp.b_p)),
-        ("r | y=0", trace.r_sums[y == 0].sum() / (t * (y == 0).sum()),
+        # every sweep, burn-in included, redraws each zero cell's r
+        ("r | y=0", trace.accept_counts["r"] / trace.proposal_counts["r"],
          hp.a_pi / (hp.a_pi + hp.b_pi)),
         ("phi", trace.phi_sum.sum() / (t * ds.p), hp.a_phi / hp.b_phi),
         ("mu0", trace.mu0_sum.sum() / (t * ds.p), 0.0),

@@ -23,7 +23,6 @@ from .inference import (
     compute_ppi,
     summarize,
 )
-from .likelihood import nb_log_pmf, zinb_log_pmf
 from .normalization import (
     METHODS,
     SizeFactors,

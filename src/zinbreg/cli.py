@@ -26,7 +26,8 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, field, fields, replace
+import typing
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,13 +42,7 @@ from .data import (
     standardize_covariates,
     validate_inputs,
 )
-from .errors import (
-    DataError,
-    DomainError,
-    NumericalFailure,
-    UsageError,
-    ZinbregError,
-)
+from .errors import DataError, NumericalFailure, UsageError, ZinbregError
 from .evaluate import ScoreReport, roc_points, score_run
 from .inference import PosteriorSummary, chain_concordance, summarize
 from .normalization import METHODS, estimate
@@ -56,11 +51,8 @@ from .simulate import SimConfig, SimTruth, generate
 
 __all__ = ["RunConfig", "parse_config", "main"]
 
-_HP_KEYS = (
-    "a_pi", "b_pi", "a_omega", "b_omega", "a_p", "b_p",
-    "a_phi", "b_phi", "sigma0_sq", "a_t", "b_t",
-)
-_SCALE_KEYS = ("tau_mu0", "tau_mu", "tau_beta", "tau_phi")
+_HP_KEYS = tuple(f.name for f in fields(Hyperparameters))
+_SCALE_KEYS = tuple(f.name for f in fields(ProposalScales))
 
 
 @dataclass(frozen=True)
@@ -220,38 +212,44 @@ def _load_config_file(path: str) -> dict[str, str]:
     return out
 
 
-_BOOL_KEYS = {"prior_only", "adapt_scales", "trace_dump", "no_filter"}
-_INT_KEYS = {
-    "l_css", "chains", "iterations", "burn_in", "thin", "seed", "threads",
-    "filter_min_count", "filter_min_groups", "n", "p", "n_disc",
-    "n_covariates", "m_active", "total_min", "total_max", "sim_seed",
-    "replicates",
-}
-_FLOAT_KEYS = {"fdr", "convergence_floor", "sigma_e", "pi0", *_HP_KEYS, *_SCALE_KEYS}
-_STR_KEYS = {
-    "counts", "covariates", "groups", "norm", "out", "fit_dir", "truth",
-    "pool_covariates", "pool_groups",
-}
+# RunConfig fields that are not config keys: the subcommand comes from the
+# command line, and the two bundles are set through their own fields' keys
+_NOT_KEYS = {"subcommand", "provenance", "hyperparameters", "scales"}
+
+
+def _key_types() -> dict[str, type]:
+    """Config key -> the type its value is coerced to (``int`` for
+    ``int | None``), from the annotations of RunConfig and the bundles."""
+    hints = {
+        **typing.get_type_hints(RunConfig),
+        **typing.get_type_hints(Hyperparameters),
+        **typing.get_type_hints(ProposalScales),
+    }
+    return {
+        key: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+        for key, hint in hints.items()
+        if key not in _NOT_KEYS
+    }
+
+
+_KEY_TYPES = _key_types()
 
 
 def _coerce(key: str, raw: str):
+    kind = _KEY_TYPES.get(key)
+    if kind is None:
+        raise UsageError(f"unknown config key: {key}")
     try:
-        if key in _BOOL_KEYS:
+        if kind is bool:
             low = raw.lower()
             if low in ("true", "1", "yes"):
                 return True
             if low in ("false", "0", "no"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _STR_KEYS:
-            return raw
+        return kind(raw)
     except ValueError as exc:
         raise UsageError(f"invalid value for {key}: {raw!r}") from exc
-    raise UsageError(f"unknown config key: {key}")
 
 
 def parse_config(argv: list[str]) -> RunConfig:
@@ -349,8 +347,7 @@ def _validate_config(cfg: RunConfig) -> None:
 
 def _config_lines(cfg: RunConfig) -> list[str]:
     lines = [f"subcommand = {cfg.subcommand}"]
-    skip = {"subcommand", "provenance", "hyperparameters", "scales"}
-    items = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in skip}
+    items = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in _NOT_KEYS}
     for key in _HP_KEYS:
         items[key] = getattr(cfg.hyperparameters, key)
     for key in _SCALE_KEYS:
@@ -546,12 +543,10 @@ def evaluate_command(cfg: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     fit_dir = Path(cfg.fit_dir)
     g_ids, g_ppi, g_sel = zio.read_ppi_gamma(fit_dir / "ppi_gamma.csv")
-    d_feat, d_cov, d_ppi, d_sel, d_beta = zio.read_ppi_delta(fit_dir / "ppi_delta.csv")
+    d_feat, d_cov, d_ppi, d_sel, _ = zio.read_ppi_delta(fit_dir / "ppi_delta.csv")
     t_feat, t_cov, gamma_true, mu2_true, beta_true = zio.read_truth(cfg.truth)
 
-    summary = _aligned_summary(
-        t_feat, t_cov, g_ids, g_ppi, g_sel, d_feat, d_cov, d_ppi, d_sel, d_beta
-    )
+    summary = _aligned_summary(t_feat, t_cov, g_ids, g_ppi, g_sel, d_feat, d_cov, d_ppi, d_sel)
     truth = SimTruth(
         gamma_true=gamma_true,
         delta_true=(beta_true != 0).astype(np.int8),
@@ -569,10 +564,11 @@ def evaluate_command(cfg: RunConfig) -> int:
 
 
 def _aligned_summary(
-    t_feat, t_cov, g_ids, g_ppi, g_sel, d_feat, d_cov, d_ppi, d_sel, d_beta
+    t_feat, t_cov, g_ids, g_ppi, g_sel, d_feat, d_cov, d_ppi, d_sel
 ) -> PosteriorSummary:
     """Expand fit outputs onto the truth's feature/covariate grid; features
-    dropped before fitting score as never selected (PPI 0)."""
+    dropped before fitting score as never selected (PPI 0). Only the PPIs
+    and selections are scored, so the means and intervals are zeros."""
     unknown = set(g_ids) - set(t_feat)
     if unknown:
         raise DataError(f"fit feature {sorted(unknown)[0]!r} absent from truth table")
@@ -587,60 +583,32 @@ def _aligned_summary(
         sel_gamma[gpos[fid]] = g_sel[i]
     ppi_delta = np.zeros((big_r, p))
     sel_delta = np.zeros((big_r, p), dtype=bool)
-    beta_mean = np.zeros((big_r, p))
     cpos = {c: r for r, c in enumerate(t_cov)}
     for i, fid in enumerate(d_feat):
         for k, cid in enumerate(d_cov):
             ppi_delta[cpos[cid], gpos[fid]] = d_ppi[k, i]
             sel_delta[cpos[cid], gpos[fid]] = d_sel[k, i]
-            beta_mean[cpos[cid], gpos[fid]] = d_beta[k, i]
-    zeros_p = np.zeros(p)
-    zeros_kp = np.zeros((2, p))
+    zeros_p, zeros_kp = np.zeros(p), np.zeros((2, p))
     return PosteriorSummary(
         ppi_gamma=ppi_gamma, ppi_delta=ppi_delta,
         selected_gamma=sel_gamma, selected_delta=sel_delta,
-        threshold_gamma=float("nan"), threshold_delta=float("nan"),
-        gamma_selection_empty=not sel_gamma.any(),
-        delta_selection_empty=not sel_delta.any(),
-        mu0_mean=zeros_p, mu0_sd=zeros_p,
-        mu_mean=zeros_kp, mu_lower=zeros_kp, mu_upper=zeros_kp,
-        beta_mean=beta_mean, beta_sd=np.zeros((big_r, p)),
-        phi_mean=zeros_p, phi_sd=zeros_p,
-        fdr_target=float("nan"), n_draws=0,
+        mu0_mean=zeros_p, mu_mean=zeros_kp, mu_lower=zeros_kp, mu_upper=zeros_kp,
+        beta_mean=np.zeros((big_r, p)), phi_mean=zeros_p,
     )
 
 
-def _expand_summary(summary: PosteriorSummary, kept: list[int], p_full: int) -> PosteriorSummary:
-    """Map a summary on filtered features back onto the full feature grid."""
-    big_r = summary.ppi_delta.shape[0]
-    k_groups = summary.mu_mean.shape[0]
+def _expand_summary(summary: PosteriorSummary, kept, p_full: int) -> PosteriorSummary:
+    """Map a summary on filtered features back onto the full feature grid:
+    every field's last axis is the features, and the dropped ones are 0."""
     idx = np.asarray(kept, dtype=np.int64)
 
-    def expand_vec(v, fill=0.0):
-        out = np.full(p_full, fill)
-        out[idx] = v
+    def expand(a):
+        out = np.zeros((*a.shape[:-1], p_full), dtype=a.dtype)
+        out[..., idx] = a
         return out
 
-    def expand_mat(m, rows):
-        out = np.zeros((rows, p_full))
-        out[:, idx] = m
-        return out
-
-    return replace(
-        summary,
-        ppi_gamma=expand_vec(summary.ppi_gamma),
-        ppi_delta=expand_mat(summary.ppi_delta, big_r),
-        selected_gamma=expand_vec(summary.selected_gamma).astype(bool),
-        selected_delta=expand_mat(summary.selected_delta, big_r).astype(bool),
-        mu0_mean=expand_vec(summary.mu0_mean),
-        mu0_sd=expand_vec(summary.mu0_sd),
-        mu_mean=expand_mat(summary.mu_mean, k_groups),
-        mu_lower=expand_mat(summary.mu_lower, k_groups),
-        mu_upper=expand_mat(summary.mu_upper, k_groups),
-        beta_mean=expand_mat(summary.beta_mean, big_r),
-        beta_sd=expand_mat(summary.beta_sd, big_r),
-        phi_mean=expand_vec(summary.phi_mean),
-        phi_sd=expand_vec(summary.phi_sd),
+    return PosteriorSummary(
+        **{f.name: expand(getattr(summary, f.name)) for f in fields(summary)}
     )
 
 
@@ -739,7 +707,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except (DataError, DomainError, ZinbregError) as exc:
+    except ZinbregError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

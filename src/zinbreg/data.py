@@ -7,7 +7,7 @@ concurrently running chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -178,13 +178,10 @@ class Hyperparameters:
     b_t: float = 10.0
 
     def __post_init__(self):
-        for name in (
-            "a_pi", "b_pi", "a_omega", "b_omega", "a_p", "b_p",
-            "a_phi", "b_phi", "sigma0_sq", "a_t", "b_t",
-        ):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"hyperparameter {name} must be strictly positive, got {v}")
+                raise ValueError(f"hyperparameter {f.name} must be strictly positive, got {v}")
 
 
 @dataclass(frozen=True)
@@ -201,10 +198,10 @@ class ProposalScales:
     tau_phi: float = 1.0
 
     def __post_init__(self):
-        for name in ("tau_mu0", "tau_mu", "tau_beta", "tau_phi"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"proposal scale {name} must be strictly positive, got {v}")
+                raise ValueError(f"proposal scale {f.name} must be strictly positive, got {v}")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Data-shaped problems (bad files, inconsistent matrices) derive from
-``DataError`` so the CLI can map them to a single exit code; everything
-raised mid-sampling derives from ``SamplingError``.
+``DataError``. The CLI maps ``UsageError`` to exit code 1,
+``NumericalFailure`` (a non-finite state mid-sampling) to 4, and every
+other ``ZinbregError`` to 2.
 """
 
 
@@ -43,15 +44,7 @@ class DomainError(ZinbregError):
     """Argument outside the mathematical domain of a density or kernel."""
 
 
-class InconsistentZeroIndicator(DataError):
-    pass
-
-
-class SamplingError(ZinbregError):
-    pass
-
-
-class NumericalFailure(SamplingError):
+class NumericalFailure(ZinbregError):
     def __init__(self, iteration, detail=""):
         msg = f"non-finite state at iteration {iteration}"
         if detail:

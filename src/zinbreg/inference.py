@@ -105,84 +105,43 @@ def bayesian_fdr_threshold(ppis: np.ndarray, target: float = 0.05) -> FdrSelecti
 
 @dataclass(frozen=True)
 class PosteriorSummary:
-    """Posterior means, credible bounds, PPIs, and FDR selections."""
+    """PPIs with their FDR selections, posterior means, and equal-tailed
+    95% intervals of the group shifts: the contents of the fit tables."""
 
     ppi_gamma: np.ndarray        # (p,)
     ppi_delta: np.ndarray        # (R, p)
     selected_gamma: np.ndarray   # (p,) bool
     selected_delta: np.ndarray   # (R, p) bool
-    threshold_gamma: float
-    threshold_delta: float
-    gamma_selection_empty: bool
-    delta_selection_empty: bool
     mu0_mean: np.ndarray         # (p,)
-    mu0_sd: np.ndarray
     mu_mean: np.ndarray          # (K, p)
     mu_lower: np.ndarray         # (K, p), equal-tailed 2.5%
     mu_upper: np.ndarray         # (K, p), equal-tailed 97.5%
     beta_mean: np.ndarray        # (R, p)
-    beta_sd: np.ndarray
     phi_mean: np.ndarray         # (p,)
-    phi_sd: np.ndarray
-    fdr_target: float
-    n_draws: int
-
-    @property
-    def n_features(self) -> int:
-        return self.ppi_gamma.shape[0]
-
-
-def _moment_sd(total, total_sq, n):
-    var = total_sq / n - np.square(total / n)
-    return np.sqrt(np.maximum(var, 0.0))
 
 
 def summarize(traces: list[ChainTrace], fdr_target: float = 0.05) -> PosteriorSummary:
     """Pool chains into a posterior summary with FDR-thresholded calls.
 
     Group-shift credible intervals are the equal-tailed 2.5/97.5
-    percentiles of the stored draws; other parameters report means and
-    standard deviations from running moments.
+    percentiles of the stored draws; the other parameters report their
+    pooled means.
     """
     ppi_gamma, ppi_delta = compute_ppi(traces)
     total = sum(t.n_recorded for t in traces)
-
-    sel_g = bayesian_fdr_threshold(ppi_gamma, fdr_target)
-    sel_d = bayesian_fdr_threshold(ppi_delta.ravel(), fdr_target)
-    selected_delta = sel_d.selected.reshape(ppi_delta.shape)
-
-    mu0_sum = sum(t.mu0_sum for t in traces)
-    mu0_sumsq = sum(t.mu0_sumsq for t in traces)
-    mu_sum = sum(t.mu_sum for t in traces)
-    beta_sum = sum(t.beta_sum for t in traces)
-    beta_sumsq = sum(t.beta_sumsq for t in traces)
-    phi_sum = sum(t.phi_sum for t in traces)
-    phi_sumsq = sum(t.phi_sumsq for t in traces)
-
+    selected_delta = bayesian_fdr_threshold(ppi_delta.ravel(), fdr_target).selected
     draws = np.concatenate([t.mu_draws for t in traces], axis=0)
-    mu_lower = np.percentile(draws, 2.5, axis=0).astype(np.float64)
-    mu_upper = np.percentile(draws, 97.5, axis=0).astype(np.float64)
-
     return PosteriorSummary(
         ppi_gamma=ppi_gamma,
         ppi_delta=ppi_delta,
-        selected_gamma=sel_g.selected,
-        selected_delta=selected_delta,
-        threshold_gamma=sel_g.threshold,
-        threshold_delta=sel_d.threshold,
-        gamma_selection_empty=sel_g.empty,
-        delta_selection_empty=sel_d.empty,
-        mu0_mean=mu0_sum / total,
-        mu0_sd=_moment_sd(mu0_sum, mu0_sumsq, total),
-        mu_mean=mu_sum / total,
-        mu_lower=mu_lower,
-        mu_upper=mu_upper,
-        beta_mean=beta_sum / total,
-        beta_sd=_moment_sd(beta_sum, beta_sumsq, total),
-        phi_mean=phi_sum / total,
-        phi_sd=_moment_sd(phi_sum, phi_sumsq, total),
-        fdr_target=fdr_target,
-        n_draws=total,
+        selected_gamma=bayesian_fdr_threshold(ppi_gamma, fdr_target).selected,
+        selected_delta=selected_delta.reshape(ppi_delta.shape),
+        mu0_mean=sum(t.mu0_sum for t in traces) / total,
+        mu_mean=sum(t.mu_sum for t in traces) / total,
+        mu_lower=np.percentile(draws, 2.5, axis=0).astype(np.float64),
+        mu_upper=np.percentile(draws, 97.5, axis=0).astype(np.float64),
+        beta_mean=sum(t.beta_sum for t in traces) / total,
+        phi_mean=sum(t.phi_sum for t in traces) / total,
     )
 
 

@@ -8,24 +8,23 @@ summed over the cells not flagged as extra zeros. Its log splits into
   computing ``log(lam + phi)`` as ``log(exp(loglam) + phi)``. It is finite
   for log means up to ~709, where ``exp`` overflows; the sampler clips its
   log means at +-700;
-* ``nb_phi_terms(y, phi)``: the terms in the dispersion alone,
+* the terms in the dispersion alone,
   ``lgamma(y + phi) - lgamma(phi) + phi*log(phi)``, which is exactly
-  ``phi*log(phi)`` at ``y = 0``;
+  ``phi*log(phi)`` at ``y = 0`` (the sampler's ``_Engine._phi_terms``);
 * ``-lgamma(y + 1)``, which depends on the data only.
 
 Every sampler move evaluates the kernel through one engine method, into
-the engine's scratch buffers (``out=``, ``work=``); ``nb_log_pmf`` adds
-the other two parts to give the full mass. The NB has mean ``lam`` and
-variance ``lam + lam**2 / phi``; large ``phi`` recovers the Poisson.
+the engine's scratch buffers (``out=``, ``work=``). The NB has mean
+``lam`` and variance ``lam + lam**2 / phi``; large ``phi`` recovers the
+Poisson.
 
 The slab priors on group shifts and covariate effects are the
 marginalized scaled-t densities ``t_{2a}(0, b/a)`` obtained by
 integrating a normal slab against its shared inverse-gamma variance.
 
-The log-gamma terms come from the package's own ``special.lgamma`` (the
-vectorized ``lgamma(y + phi)``, ``lgamma(phi)`` and ``lgamma(y + 1)``)
-and from ``math.lgamma`` (the scalar t-density constants), so the
-package needs numpy alone.
+The t-density constants come from ``math.lgamma``; the sampler takes the
+vectorized log-gamma terms from the package's own ``special.lgamma``, so
+the package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -34,17 +33,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
-from .special import lgamma
-
-__all__ = [
-    "nb_kernel",
-    "nb_phi_terms",
-    "nb_log_pmf",
-    "zinb_log_pmf",
-    "log_normal_density",
-    "log_t_density",
-]
+__all__ = ["nb_kernel", "log_normal_density", "log_t_density"]
 
 
 def log_normal_density(x, var):
@@ -88,44 +77,3 @@ def nb_kernel(y, loglam, phi, out=None, work=None):
     out *= log_sum
     np.multiply(y, loglam, out=work)
     return np.subtract(work, out, out=out)  # y log(lam) - (y + phi) log(lam + phi)
-
-
-def nb_phi_terms(y, phi):
-    """Part of the NB log mass that depends on the dispersion alone."""
-    return lgamma(y + phi) - lgamma(phi) + phi * np.log(phi)
-
-
-def nb_log_pmf(y, lam, phi):
-    """Log mass of the negative binomial with mean ``lam`` and dispersion
-    ``1/phi`` at count ``y``.
-
-    Accepts scalars or broadcastable arrays; raises ``DomainError`` when
-    ``lam`` or ``phi`` is not strictly positive or ``y`` is not a
-    non-negative integer.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    lam = np.asarray(lam, dtype=np.float64)
-    phi = np.asarray(phi, dtype=np.float64)
-    if np.any(lam <= 0) or np.any(~np.isfinite(lam)):
-        raise DomainError("lam must be strictly positive and finite")
-    if np.any(phi <= 0) or np.any(~np.isfinite(phi)):
-        raise DomainError("phi must be strictly positive and finite")
-    if np.any(y < 0) or np.any(y != np.floor(y)):
-        raise DomainError("y must be a non-negative integer")
-    out = nb_kernel(y, np.log(lam), phi) + nb_phi_terms(y, phi) - lgamma(y + 1.0)
-    return out if out.ndim else float(out)
-
-
-def zinb_log_pmf(y, pi, lam, phi):
-    """Log mass of the zero-inflated negative binomial: a point mass at
-    zero with weight ``pi`` mixed with an NB(lam, phi) count component."""
-    pi = np.asarray(pi, dtype=np.float64)
-    if np.any(pi < 0) or np.any(pi > 1):
-        raise DomainError("pi must lie in [0, 1]")
-    y = np.asarray(y, dtype=np.float64)
-    nb = nb_log_pmf(y, lam, phi)
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(pi)
-        log_1mpi = np.log1p(-pi)
-    out = np.where(y == 0, np.logaddexp(log_pi, log_1mpi + nb), log_1mpi + nb)
-    return out if out.ndim else float(out)

@@ -186,24 +186,18 @@ class ModelState:
 
 @dataclass
 class ChainTrace:
-    """Post-burn-in accumulators and stored draws for one chain."""
+    """Post-burn-in sums and stored draws for one chain. The move counters
+    cover every sweep, burn-in included."""
 
     n_iter: int
     burn_in: int
-    thin: int
-    seed: int
     n_recorded: int
     gamma_sums: np.ndarray      # (p,)
     delta_sums: np.ndarray      # (R, p)
-    r_sums: np.ndarray          # (n, p)
-    mu0_sum: np.ndarray
-    mu0_sumsq: np.ndarray
+    mu0_sum: np.ndarray         # (p,)
     mu_sum: np.ndarray          # (K, p)
-    mu_sumsq: np.ndarray
     beta_sum: np.ndarray        # (R, p)
-    beta_sumsq: np.ndarray
-    phi_sum: np.ndarray
-    phi_sumsq: np.ndarray
+    phi_sum: np.ndarray         # (p,)
     mu_draws: np.ndarray        # (n_recorded, K, p) float32
     proposal_counts: dict[str, int]
     accept_counts: dict[str, int]
@@ -290,7 +284,7 @@ class _Engine:
         self.active: np.ndarray | None = None  # 1 - r
         self.eta: np.ndarray | None = None     # mu0 + mu[group] + x @ beta
         self.kern: np.ndarray | None = None    # nb_kernel at eta
-        self.phit: np.ndarray | None = None    # nb_phi_terms at phi
+        self.phit: np.ndarray | None = None    # dispersion-only terms at phi
         # ndtr(-phi/tau_phi) at the current dispersions; None after the
         # scale changes
         self._phi_cut: np.ndarray | None = None
@@ -341,8 +335,9 @@ class _Engine:
         )
 
     def _phi_terms(self, phi) -> np.ndarray:
-        """``nb_phi_terms(y, phi)`` on the (n, p) grid for the dispersion
-        vector ``phi``, into scratch. At a zero count
+        """The dispersion-only terms of the NB log mass,
+        ``lgamma(y + phi) - lgamma(phi) + phi*log(phi)``, on the (n, p) grid
+        for the dispersion vector ``phi``, into scratch. At a zero count
         ``lgamma(y + phi) - lgamma(phi)`` is exactly 0, so ``lgamma`` is
         evaluated on the nonzero counts only, in one call with
         ``lgamma(phi)``."""
@@ -810,19 +805,13 @@ def run_chain(
     rng = np.random.default_rng(config.seed)
     state = eng.init_state(rng)
 
-    n, p = eng.n, eng.p
-    R, K = eng.R, eng.K
+    p, R, K = eng.p, eng.R, eng.K
     gamma_sums = np.zeros(p, dtype=np.int64)
     delta_sums = np.zeros((R, p), dtype=np.int64)
-    r_sums = np.zeros((n, p), dtype=np.int64)
     mu0_sum = np.zeros(p)
-    mu0_sumsq = np.zeros(p)
     mu_sum = np.zeros((K, p))
-    mu_sumsq = np.zeros((K, p))
     beta_sum = np.zeros((R, p))
-    beta_sumsq = np.zeros((R, p))
     phi_sum = np.zeros(p)
-    phi_sumsq = np.zeros(p)
     mu_draws = np.zeros((config.n_recorded, K, p), dtype=np.float32)
     diag_logpost = np.zeros(config.n_iter) if config.diagnostics else None
     diag_sumgamma = np.zeros(config.n_iter, dtype=np.int64) if config.diagnostics else None
@@ -841,15 +830,10 @@ def run_chain(
         if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
             gamma_sums += state.gamma
             delta_sums += state.delta
-            r_sums += state.r
             mu0_sum += state.mu0
-            mu0_sumsq += np.square(state.mu0)
             mu_sum += state.mu
-            mu_sumsq += np.square(state.mu)
             beta_sum += state.beta
-            beta_sumsq += np.square(state.beta)
             phi_sum += state.phi
-            phi_sumsq += np.square(state.phi)
             mu_draws[t_rec] = state.mu
             t_rec += 1
 
@@ -863,20 +847,13 @@ def run_chain(
     return ChainTrace(
         n_iter=config.n_iter,
         burn_in=config.burn_in,
-        thin=config.thin,
-        seed=config.seed,
         n_recorded=t_rec,
         gamma_sums=gamma_sums,
         delta_sums=delta_sums,
-        r_sums=r_sums,
         mu0_sum=mu0_sum,
-        mu0_sumsq=mu0_sumsq,
         mu_sum=mu_sum,
-        mu_sumsq=mu_sumsq,
         beta_sum=beta_sum,
-        beta_sumsq=beta_sumsq,
         phi_sum=phi_sum,
-        phi_sumsq=phi_sumsq,
         mu_draws=mu_draws,
         proposal_counts=dict(eng.proposal_counts),
         accept_counts=dict(eng.accept_counts),

@@ -2,7 +2,10 @@
 
 Everything here is written as directly as possible (explicit sorts,
 loops, quadrature, pairwise enumeration) and stays independent of the
-library code paths it checks.
+library code paths it checks. The exceptions are ``nb_phi_terms``,
+``nb_log_pmf`` and ``zinb_log_pmf``: full NB and ZINB masses assembled
+from the package's kernel and ``lgamma``, which the tests hold against the
+direct forms here and scipy's.
 """
 
 import math
@@ -12,7 +15,13 @@ import numpy as np
 from scipy import integrate, stats
 from scipy.special import betaln, gammaln
 
-from zinbreg.errors import DomainError, InconsistentZeroIndicator
+from zinbreg.errors import DataError, DomainError
+from zinbreg.likelihood import nb_kernel
+from zinbreg.special import lgamma
+
+
+class InconsistentZeroIndicator(DataError):
+    """An extra-zero indicator set at a positive count."""
 
 
 def percentile_type2(values, q):
@@ -173,6 +182,49 @@ def nb_pmf_direct(y, lam, phi):
         * (phi / (lam + phi)) ** phi
         * (lam / (lam + phi)) ** y
     )
+
+
+def nb_phi_terms(y, phi):
+    """Part of the NB log mass that depends on the dispersion alone, by the
+    package's ``lgamma``, on the full grid."""
+    return lgamma(y + phi) - lgamma(phi) + phi * np.log(phi)
+
+
+def nb_log_pmf(y, lam, phi):
+    """Log mass of the negative binomial with mean ``lam`` and dispersion
+    ``1/phi`` at count ``y``, assembled from the package's kernel and
+    ``lgamma``; the tests check it against ``nb_pmf_direct`` and scipy.
+
+    Accepts scalars or broadcastable arrays; raises ``DomainError`` when
+    ``lam`` or ``phi`` is not strictly positive or ``y`` is not a
+    non-negative integer.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
+    phi = np.asarray(phi, dtype=np.float64)
+    if np.any(lam <= 0) or np.any(~np.isfinite(lam)):
+        raise DomainError("lam must be strictly positive and finite")
+    if np.any(phi <= 0) or np.any(~np.isfinite(phi)):
+        raise DomainError("phi must be strictly positive and finite")
+    if np.any(y < 0) or np.any(y != np.floor(y)):
+        raise DomainError("y must be a non-negative integer")
+    out = nb_kernel(y, np.log(lam), phi) + nb_phi_terms(y, phi) - lgamma(y + 1.0)
+    return out if out.ndim else float(out)
+
+
+def zinb_log_pmf(y, pi, lam, phi):
+    """Log mass of the zero-inflated negative binomial: a point mass at
+    zero with weight ``pi`` mixed with an NB(lam, phi) count component."""
+    pi = np.asarray(pi, dtype=np.float64)
+    if np.any(pi < 0) or np.any(pi > 1):
+        raise DomainError("pi must lie in [0, 1]")
+    y = np.asarray(y, dtype=np.float64)
+    nb = nb_log_pmf(y, lam, phi)
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(pi)
+        log_1mpi = np.log1p(-pi)
+    out = np.where(y == 0, np.logaddexp(log_pi, log_1mpi + nb), log_1mpi + nb)
+    return out if out.ndim else float(out)
 
 
 def nb_kernel_logaddexp(y, loglam, phi):

@@ -108,12 +108,8 @@ def _summary(ppi_gamma, sel_gamma, ppi_delta, sel_delta):
         ppi_delta=ppi_delta,
         selected_gamma=np.asarray(sel_gamma, dtype=bool),
         selected_delta=sel_delta.astype(bool),
-        threshold_gamma=0.5, threshold_delta=0.5,
-        gamma_selection_empty=not np.any(sel_gamma),
-        delta_selection_empty=not np.any(sel_delta),
-        mu0_mean=z, mu0_sd=z, mu_mean=zk, mu_lower=zk, mu_upper=zk,
-        beta_mean=np.zeros((big_r, p)), beta_sd=np.zeros((big_r, p)),
-        phi_mean=z, phi_sd=z, fdr_target=0.05, n_draws=10,
+        mu0_mean=z, mu_mean=zk, mu_lower=zk, mu_upper=zk,
+        beta_mean=np.zeros((big_r, p)), phi_mean=z,
     )
 
 

@@ -1,12 +1,22 @@
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import small_dataset
 from zinbreg import io as zio
-from zinbreg.cli import main, parse_config
-from zinbreg.data import CountMatrix, CovariateMatrix, GroupAssignment
+from zinbreg.cli import _KEY_TYPES, _expand_summary, main, parse_config
+from zinbreg.data import (
+    CountMatrix,
+    CovariateMatrix,
+    GroupAssignment,
+    Hyperparameters,
+    ProposalScales,
+)
 from zinbreg.errors import NonIntegerCount, ParseError, UnalignedSampleIds, UsageError
+from zinbreg.inference import PosteriorSummary, summarize
+from zinbreg.sampler import ChainConfig, run_chains_parallel
 from zinbreg.simulate import SimConfig, generate
 
 
@@ -165,6 +175,56 @@ def test_parse_config_rejects_unknown_file_key(tmp_path, tiny_files):
             "--groups", str(src / "groups.csv"),
             "--config", str(conf),
         ])
+
+
+def test_every_config_key_is_read_from_a_file_as_its_type(tmp_path, tiny_files):
+    src, *_ = tiny_files
+    # the optional fields and the two bundles' fields are config keys too
+    for key in ("burn_in", "threads", "filter_min_groups"):
+        assert _KEY_TYPES[key] is int
+    for f in (*fields(Hyperparameters), *fields(ProposalScales)):
+        assert _KEY_TYPES[f.name] is float
+    sample = {bool: ("yes", True), int: ("3", 3), float: ("0.5", 0.5), str: ("x", "x")}
+    special = {  # keys whose value fit validates
+        "norm": "rle", "burn_in": "1",
+        **{key: str(src / f"{key}.csv") for key in ("counts", "covariates", "groups")},
+    }
+    raw = {key: special.get(key, sample[kind][0]) for key, kind in _KEY_TYPES.items()}
+    conf = tmp_path / "all.conf"
+    conf.write_text("".join(f"{key} = {value}\n" for key, value in raw.items()))
+    cfg = parse_config(["fit", "--config", str(conf)])
+    for key, kind in _KEY_TYPES.items():
+        holder = next(h for h in (cfg, cfg.hyperparameters, cfg.scales) if hasattr(h, key))
+        value = getattr(holder, key)
+        want = raw[key] if key in special else sample[kind][1]
+        assert type(value) is kind and value == kind(want), key
+        assert cfg.provenance[key] == "file", key
+
+
+@pytest.mark.parametrize("key", ["subcommand", "provenance", "hyperparameters", "scales"])
+def test_non_key_fields_in_a_config_file_are_usage_errors(tmp_path, tiny_files, capsys, key):
+    src, *_ = tiny_files
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = fit\n")
+    assert main(_fit_args(src, tmp_path / "out", extra=("--config", str(conf)))) == 1
+    assert f"unknown config key: {key}" in capsys.readouterr().err
+
+
+def test_expand_summary_puts_every_field_on_the_full_grid():
+    ds = small_dataset(seed=8)
+    configs = [ChainConfig(n_iter=40, burn_in=20, seed=s) for s in (1, 2)]
+    summary = summarize(run_chains_parallel(ds, Hyperparameters(), ProposalScales(),
+                                            configs, max_workers=1))
+    p_full = ds.p + 4
+    kept = np.sort(np.random.default_rng(0).choice(p_full, ds.p, replace=False))
+    dropped = np.setdiff1d(np.arange(p_full), kept)
+    full = _expand_summary(summary, kept.tolist(), p_full)
+    for f in fields(PosteriorSummary):
+        value, expanded = getattr(summary, f.name), getattr(full, f.name)
+        assert expanded.shape == (*value.shape[:-1], p_full), f.name
+        assert expanded.dtype == value.dtype, f.name
+        np.testing.assert_array_equal(expanded[..., kept], value, err_msg=f.name)
+        assert not expanded[..., dropped].any(), f.name
 
 
 def test_main_usage_error_exit_code():

@@ -9,15 +9,18 @@ from scipy.stats import poisson
 
 import _oracles as oracle
 from _oracles import (
+    InconsistentZeroIndicator,
     TaxonParams,
     log_gamma_density,
     log_prior_terms,
     mean_alpha,
+    nb_log_pmf,
     taxon_log_lik,
+    zinb_log_pmf,
 )
 from zinbreg.data import CovariateMatrix, GroupAssignment, Hyperparameters
-from zinbreg.errors import DomainError, InconsistentZeroIndicator
-from zinbreg.likelihood import log_t_density, nb_kernel, nb_log_pmf, zinb_log_pmf
+from zinbreg.errors import DomainError
+from zinbreg.likelihood import log_t_density, nb_kernel
 from zinbreg.normalization import SizeFactors
 
 
