@@ -10,7 +10,9 @@ with extra zeros) for 200/100/40 sweeps at p=100/300/1000, one sweep of
 each in turn. For each shape it prints whether the final states and the
 accept counts are identical, the largest difference in a continuous
 parameter (mu0, mu, beta, phi), and the median milliseconds per sweep of
-each engine. The exit status is 1 when any shape differs.
+each engine, then each engine's median milliseconds per move (``step_r``
+... ``step_phi``, timed inside the same sweeps). The exit status is 1 when
+any shape differs.
 
 Usage:
   PYTHONPATH=src python3 scripts/same_decisions.py PARENT_SRC [--seed 1]
@@ -37,6 +39,7 @@ from zinbreg.sampler import _Engine
 from zinbreg.simulate import generate_zinb
 
 SHAPES = ((100, 200), (300, 100), (1000, 40))  # (p, sweeps)
+STEPS = ("step_r", "step_mu0", "step_gamma_mu", "step_delta_beta", "step_phi")
 DISCRETE = ("r", "gamma", "delta")
 CONTINUOUS = ("mu0", "mu", "beta", "phi")
 
@@ -65,6 +68,23 @@ def dataset(p: int, seed: int):
     return ds, estimate_css(ds.counts)
 
 
+def time_steps(eng) -> dict:
+    """Replace the engine's step methods, on the instance, by timed ones
+    that ``sweep`` calls in their place; returns name -> list of seconds."""
+    times = {name: [] for name in STEPS}
+
+    def timed(name, step):
+        def wrapper(*args):
+            start = time.perf_counter()
+            step(*args)
+            times[name].append(time.perf_counter() - start)
+        return wrapper
+
+    for name in STEPS:
+        setattr(eng, name, timed(name, getattr(eng, name)))
+    return times
+
+
 def compare(engines, ds, sf, sweeps: int, seed: int) -> dict:
     """Run each engine class from one seed, alternating sweeps."""
     hp, scales = Hyperparameters(), ProposalScales()
@@ -72,13 +92,13 @@ def compare(engines, ds, sf, sweeps: int, seed: int) -> dict:
     for engine_class in engines:
         eng = engine_class(ds, sf, hp, scales)
         rng = np.random.default_rng(seed)
-        runs.append((eng, eng.init_state(rng), rng, []))
+        runs.append((eng, eng.init_state(rng), rng, [], time_steps(eng)))
     for _ in range(sweeps):
-        for eng, state, rng, times in runs:
+        for eng, state, rng, times, _ in runs:
             start = time.perf_counter()
             eng.sweep(state, rng)
             times.append(time.perf_counter() - start)
-    (eng_a, a, _, t_a), (eng_b, b, _, t_b) = runs
+    (eng_a, a, _, t_a, steps_a), (eng_b, b, _, t_b, steps_b) = runs
     same = all(np.array_equal(getattr(a, f), getattr(b, f)) for f in DISCRETE + CONTINUOUS)
     same &= eng_a.accept_counts == eng_b.accept_counts
     same &= eng_a.proposal_counts == eng_b.proposal_counts
@@ -89,6 +109,8 @@ def compare(engines, ds, sf, sweeps: int, seed: int) -> dict:
         "max_diff": diff,
         "ms_parent": 1e3 * statistics.median(t_a),
         "ms_this": 1e3 * statistics.median(t_b),
+        "steps": {name: (1e3 * statistics.median(steps_a[name]),
+                         1e3 * statistics.median(steps_b[name])) for name in STEPS},
     }
 
 
@@ -102,15 +124,25 @@ def main(argv=None) -> int:
 
     print("    p  sweeps  identical  max |diff|   parent ms/sweep  this ms/sweep  change")
     all_same = True
+    steps = []
     for p, sweeps in SHAPES:
         ds, sf = dataset(p, args.seed)
         r = compare(engines, ds, sf, sweeps, args.seed)
         all_same &= r["identical"]
-        change = 100.0 * (r["ms_this"] / r["ms_parent"] - 1.0)
         print(f"{ds.p:5d}  {sweeps:6d}  {'yes' if r['identical'] else 'NO':>9}  "
               f"{r['max_diff']:10.3g}  {r['ms_parent']:16.2f}  {r['ms_this']:13.2f}  "
-              f"{change:+6.1f}%")
+              f"{change(r['ms_parent'], r['ms_this'])}")
+        steps.append((ds.p, r["steps"]))
+    print("\n    p  move               parent ms/sweep  this ms/sweep  change")
+    for p, per_step in steps:
+        for name, (ms_parent, ms_this) in per_step.items():
+            print(f"{p:5d}  {name:<17}  {ms_parent:15.3f}  {ms_this:13.3f}  "
+                  f"{change(ms_parent, ms_this)}")
     return 0 if all_same else 1
+
+
+def change(ms_parent: float, ms_this: float) -> str:
+    return f"{100.0 * (ms_this / ms_parent - 1.0):+6.1f}%"
 
 
 if __name__ == "__main__":

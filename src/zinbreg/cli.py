@@ -46,7 +46,7 @@ from .errors import DataError, NumericalFailure, UsageError, ZinbregError
 from .evaluate import ScoreReport, roc_points, score_run
 from .inference import PosteriorSummary, chain_concordance, summarize
 from .normalization import METHODS, estimate
-from .sampler import ChainConfig, default_max_workers, run_chains_parallel
+from .sampler import ChainConfig, chain_pool, default_max_workers, run_chains_parallel
 from .simulate import SimConfig, SimTruth, generate
 
 __all__ = ["RunConfig", "parse_config", "main"]
@@ -387,7 +387,7 @@ def _prepare_dataset(cfg: RunConfig, counts, covariates, groups) -> Dataset:
     return validate_inputs(counts, standardize_covariates(covariates), groups)
 
 
-def _fit_dataset(cfg: RunConfig, ds: Dataset, chain_seeds: list[int]):
+def _fit_dataset(cfg: RunConfig, ds: Dataset, chain_seeds: list[int], workers=None):
     sf = estimate(ds.counts, cfg.norm, l_css=cfg.l_css)
     configs = [
         ChainConfig(
@@ -403,7 +403,7 @@ def _fit_dataset(cfg: RunConfig, ds: Dataset, chain_seeds: list[int]):
     ]
     traces = run_chains_parallel(
         ds, cfg.hyperparameters, cfg.scales, configs,
-        size_factors=sf, max_workers=cfg.threads,
+        size_factors=sf, max_workers=cfg.threads, pool=workers,
     )
     summary = summarize(traces, cfg.fdr)
     return sf, traces, summary
@@ -621,30 +621,33 @@ def sim_study_command(cfg: RunConfig) -> int:
 
     rows = []
     reports = []
-    for rep in range(cfg.replicates):
-        sim_seed = cfg.sim_seed + rep
-        try:
-            counts, covariates, groups, truth = generate(_sim_config(cfg, sim_seed), pool)
-            full_ids = counts.feature_ids
-            ds = _prepare_dataset(cfg, counts, covariates, groups)
-            chain_seeds = [
-                int(s) for s in seed_children[rep].generate_state(cfg.chains, dtype=np.uint64)
-            ]
-            _, traces, summary = _fit_dataset(cfg, ds, chain_seeds)
-            kept = [full_ids.index(fid) for fid in ds.counts.feature_ids]
-            full_summary = _expand_summary(summary, kept, len(full_ids))
-            report = score_run(full_summary, truth)
-            reports.append(report)
-            rows.append([str(rep), str(sim_seed), *_score_row(report), "ok"])
-            _write_roc_files(out_dir, rep, full_summary, truth)
-        except UsageError:
-            raise  # a bad setting fails every replicate alike: exit 1, not failed rows
-        except ZinbregError as exc:
-            rows.append(
-                [str(rep), str(sim_seed)]
-                + ["nan"] * len(_SCORE_FIELDS)
-                + [f"failed: {exc}"]
-            )
+    # one set of worker processes runs every replicate's chains
+    with chain_pool(cfg.chains, cfg.threads) as workers:
+        for rep in range(cfg.replicates):
+            sim_seed = cfg.sim_seed + rep
+            try:
+                counts, covariates, groups, truth = generate(_sim_config(cfg, sim_seed), pool)
+                full_ids = counts.feature_ids
+                ds = _prepare_dataset(cfg, counts, covariates, groups)
+                chain_seeds = [
+                    int(s)
+                    for s in seed_children[rep].generate_state(cfg.chains, dtype=np.uint64)
+                ]
+                _, traces, summary = _fit_dataset(cfg, ds, chain_seeds, workers)
+                kept = [full_ids.index(fid) for fid in ds.counts.feature_ids]
+                full_summary = _expand_summary(summary, kept, len(full_ids))
+                report = score_run(full_summary, truth)
+                reports.append(report)
+                rows.append([str(rep), str(sim_seed), *_score_row(report), "ok"])
+                _write_roc_files(out_dir, rep, full_summary, truth)
+            except UsageError:
+                raise  # a bad setting fails every replicate alike: exit 1, not failed rows
+            except ZinbregError as exc:
+                rows.append(
+                    [str(rep), str(sim_seed)]
+                    + ["nan"] * len(_SCORE_FIELDS)
+                    + [f"failed: {exc}"]
+                )
     zio.write_table(
         out_dir / "replicate_scores.csv",
         ["replicate", "sim_seed", *_SCORE_FIELDS, "status"],

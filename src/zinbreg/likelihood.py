@@ -61,7 +61,9 @@ def nb_kernel(y, loglam, phi, out=None, work=None):
     overwritten. The kernel holds three arrays of that shape at once (the
     log mean, ``log(lam + phi)`` and ``y + phi``), so a caller that passes
     both, and a ``loglam`` it owns, allocates nothing. Without them the two
-    are allocated; the arithmetic is the same either way.
+    are allocated; the arithmetic is the same either way. ``phi`` may be
+    ``out`` itself: the kernel reads ``phi`` for the last time in the step
+    that first writes ``out``.
 
     Finite for log means up to ~709, where ``exp(loglam)`` overflows; the
     engine clips its log means at +-700.

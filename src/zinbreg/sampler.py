@@ -21,31 +21,44 @@ hyperparameters, proposal scales, chain config); identical seeds give
 bit-identical traces regardless of how chains are scheduled.
 
 Every likelihood term goes through the one negative binomial kernel of
-``likelihood.py``, at log means ``log(s) + eta`` clipped at +-700 so that
-the kernel's ``exp`` stays finite whatever the size factors. ``_Engine``
-keeps the current state's per-cell values up to date: the linear
-predictor ``eta``, the kernel at ``eta`` and the dispersion-only terms,
-next to the mask of cells not flagged as extra zeros. The dispersion-only
-terms are ``phi*log(phi)`` at zero counts, so their ``lgamma`` pair is
-evaluated on the nonzero counts alone. A move evaluates the kernel only
-at its proposal and only on the cells it touches; its log likelihood
-ratio is the masked column sum of the proposal's kernel minus the cached
-one, and it copies the proposal's cells into the cache where it accepts.
-The log posterior is a masked sum of the cache plus the priors.
-Prior-only chains skip the likelihood, so their moves leave the cache
-alone and the log posterior rebuilds it.
+``likelihood.py``, at log means ``log(s) + mu0 + mu[group] + beta . x``
+clipped at +-700 so that the kernel's ``exp`` stays finite whatever the
+size factors. ``_Engine`` keeps the current state's per-cell values up to
+date: the unclipped log mean, the kernel at its clipped value and the
+dispersion-only terms, next to the mask of cells not flagged as extra
+zeros. The dispersion-only terms are ``phi*log(phi)`` at zero counts, so
+their ``lgamma`` pair is evaluated on the nonzero counts alone. A move
+evaluates the kernel only at its proposal and only on the cells it
+touches; its log likelihood ratio is the masked per-feature sum of the
+proposal's kernel minus the cached one, and it copies the proposal's
+cells into the cache where it accepts. The log posterior is a masked sum
+of the cache plus the priors. Prior-only chains skip the likelihood, so
+their moves leave the cache alone and the log posterior rebuilds it.
+
+The engine stores its per-cell arrays feature-major, (p, n): the counts,
+the mask, the cache and the scratch views. Its samples are ordered by
+group, the reference group first, so one feature's cells are one
+contiguous row, one group's cells of it are one slice, and the
+non-reference groups' cells together are the slice after the reference's.
+A walk over some features gathers and commits whole rows (of a group's
+slice, for the group shifts); a move over every feature commits its
+accepted rows; a ratio is one fused ``einsum`` of the differences with the
+mask. ``ModelState`` keeps the input's sample order: ``attach`` and the
+extra-zero step map between the two orders, the latter visiting the zero
+cells in the input's row-major order, so a seed draws the same chain in
+any layout.
 
 A move's per-cell arithmetic allocates nothing. ``_Engine`` owns five
 flat float64 scratch buffers, allocated once, and every move writes into
-them: its proposal's linear predictor, log mean, kernel (``nb_kernel``'s
-``out=`` and ``work=``), dispersion terms (``lgamma``'s ``out=`` and
-``work=``), the blocks of data and cache it gathers, and the differences
-of its log likelihood ratio. A block move (rows x columns) uses the
-first rows*cols elements of a buffer, reshaped. What a move still
-allocates is per feature, or the size of its accepted columns. The cache
+them: its proposal's log mean, the clipped log mean and the kernel
+(``nb_kernel``'s ``out=`` and ``work=``), dispersion terms (``lgamma``'s
+``out=`` and ``work=``), the rows of data and cache it gathers, the
+differences of its log likelihood ratio and the rows it commits. A block
+move (features x samples) uses the first features*samples elements of a
+buffer, reshaped. What a move still allocates is per feature. The cache
 never points into scratch: ``attach`` copies out of it, and a move
-copies its accepted cells into the cache, since the next move
-overwrites the buffers.
+copies its accepted rows into the cache, since the next move overwrites
+the buffers.
 
 Moves that are conditionally independent across features are evaluated
 in single vectorized passes; the one sequential scan (the discrimination
@@ -72,6 +85,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,13 +111,7 @@ THREADS_ENV_VAR = "ZINBREG_THREADS"
 # Log means are clipped here before they enter the kernel, which keeps
 # exp(log mean), and so every likelihood term, finite for any finite
 # parameter value and size factor.
-_ETA_CLIP = 700.0
-
-
-def _log_mean(log_s, eta, out=None) -> np.ndarray:
-    """Log mean ``log_s + eta`` clipped at +-``_ETA_CLIP``."""
-    out = np.add(log_s, eta, out=out)
-    return np.clip(out, -_ETA_CLIP, _ETA_CLIP, out=out)
+_LOG_MEAN_CLIP = 700.0
 
 
 def _view(buf, shape) -> np.ndarray:
@@ -217,7 +225,8 @@ class ChainTrace:
 class _Engine:
     """Precomputed data views, the per-cell cache of the current state, the
     scratch buffers the moves write their proposals into, and the five
-    update steps."""
+    update steps. Per-cell arrays are (p, n): one row per feature, its
+    samples in the engine's group order."""
 
     def __init__(
         self,
@@ -228,29 +237,47 @@ class _Engine:
         prior_only: bool = False,
     ):
         y = data.counts.counts
-        self.n, self.p = y.shape
+        n, p = y.shape
+        self.n, self.p = n, p
         self.R = data.n_covariates
         self.K = data.n_groups
-        self.yf = y.astype(np.float64)
-        self.x = data.covariates.values
-        self.z0 = data.groups.zero_based()
+        z0 = data.groups.zero_based()
         self.ref0 = data.groups.reference_group - 1
         self.nonref = [k for k in range(self.K) if k != self.ref0]
-        self.s = size_factors.values
-        self.log_s = np.log(self.s)
-        # zero cells as flat indices into (n, p) and as rows and columns
-        self.zero_flat = np.flatnonzero(y == 0)
-        self.zero_rows, self.zero_cols = np.divmod(self.zero_flat, self.p)
-        # nonzero cells as flat indices into (n, p), their columns and counts
-        self.nz_flat = np.flatnonzero(y)
-        self.nz_cols = self.nz_flat % self.p
+        # samples in group order, the reference group first: each group's
+        # samples, and all the non-reference groups' samples together, are
+        # one slice of a feature's row
+        self.order = np.argsort(np.where(z0 == self.ref0, -1, z0), kind="stable")
+        self.z0 = z0[self.order]
+        sizes = np.bincount(z0, minlength=self.K)
+        self.group_span = [slice(0, 0)] * self.K
+        start = 0
+        for k in [self.ref0] + self.nonref:
+            self.group_span[k] = slice(start, start + int(sizes[k]))
+            start += int(sizes[k])
+        self.nonref_span = slice(int(sizes[self.ref0]), n)
+        self.yf = np.ascontiguousarray(y[self.order].T, dtype=np.float64)
+        self.xt = np.ascontiguousarray(data.covariates.values[self.order].T)
+        s = size_factors.values
+        self.log_s = np.log(s)[self.order]
+        # the starting baselines: log mean normalized counts (+ 0.01)
+        self.mu0_start = np.log((y.astype(np.float64) / s[:, None]).mean(axis=0) + 0.01)
+        # zero cells as flat indices into the input (n, p) grid, in its
+        # row-major order; their features; and the same cells as flat
+        # indices into the engine's (p, n) grid, in that input order
+        self.zero_in = np.flatnonzero(y == 0)
+        rows, self.zero_feat = np.divmod(self.zero_in, p)
+        position = np.empty(n, dtype=np.intp)
+        position[self.order] = np.arange(n)
+        self.zero_flat = self.zero_feat * n + position[rows]
+        # nonzero cells as flat indices into (p, n), their features and counts
+        self.nz_flat = np.flatnonzero(self.yf)
+        self.nz_feat = self.nz_flat // n
         self.nz_y = self.yf.ravel()[self.nz_flat]
         # sum of lgamma(y + 1) over the cells not flagged as extra zeros:
         # only zero cells can be flagged and they add nothing, so it is a
         # constant of the data
         self.log_y_fact = float(lgamma(self.yf + 1.0).sum())
-        self.group_rows = [np.flatnonzero(self.z0 == k) for k in range(self.K)]
-        self.nonref_rows = np.flatnonzero(self.z0 != self.ref0)
         self.hp = hp
         self.prior_only = prior_only
         self.t_df = 2.0 * hp.a_t
@@ -264,7 +291,7 @@ class _Engine:
         )
         # collapsed prior ratios of a discrimination delete and add with s of
         # the p indicators on, for s = 0..p (nan where the move cannot occur)
-        a, b, p = hp.a_omega, hp.b_omega, self.p
+        a, b = hp.a_omega, hp.b_omega
         self.gamma_del_prior = [math.nan] + [
             math.log((b + p - s) / (a + s - 1.0)) for s in range(1, p + 1)
         ]
@@ -280,21 +307,21 @@ class _Engine:
         self.accept_counts = {m: 0 for m in _MOVES}
         self._window_prop = {m: 0 for m in _MOVES}
         self._window_acc = {m: 0 for m in _MOVES}
-        # per-cell cache of the current state, all (n, p) float
-        self.active: np.ndarray | None = None  # 1 - r
-        self.eta: np.ndarray | None = None     # mu0 + mu[group] + x @ beta
-        self.kern: np.ndarray | None = None    # nb_kernel at eta
-        self.phit: np.ndarray | None = None    # dispersion-only terms at phi
+        # per-cell cache of the current state, all (p, n) float
+        self.active: np.ndarray | None = None    # 1 - r
+        self.log_mean: np.ndarray | None = None  # log s + mu0 + mu[group] + beta . x
+        self.kern: np.ndarray | None = None      # nb_kernel at the clipped log mean
+        self.phit: np.ndarray | None = None      # dispersion-only terms at phi
         # ndtr(-phi/tau_phi) at the current dispersions; None after the
         # scale changes
         self._phi_cut: np.ndarray | None = None
         # scratch: five flat buffers of (n + 1) p elements, room for the n p
         # cells and for the dispersion terms' lgamma arguments (one per
         # nonzero cell and one per feature)
-        self._scratch = np.empty((5, (self.n + 1) * self.p))
+        self._scratch = np.empty((5, (n + 1) * p))
         (
-            self._eta_new,    # the proposal's linear predictor
-            self._lm,         # its log mean; the old block of a ratio
+            self._lm_new,     # the proposal's log mean
+            self._lm,         # its clipped log mean; gathered and committed rows
             self._kern_new,   # the kernel at the proposal
             self._work,       # the kernel's working space; differences
             self._phit_new,   # dispersion terms at a proposal; count blocks
@@ -305,11 +332,15 @@ class _Engine:
     def attach(self, state: ModelState) -> None:
         """Build the per-cell cache from ``state``. The cache is copied out
         of the scratch buffers, which the next move overwrites."""
-        self.active = 1.0 - state.r.astype(np.float64)
-        self.eta = state.mu0[None, :] + state.mu[self.z0, :]
+        shape = (self.p, self.n)
+        self.active = np.subtract(1.0, state.r[self.order].T, out=np.empty(shape))
+        log_mean = np.take(state.mu.T, self.z0, axis=1, out=np.empty(shape))
+        log_mean += state.mu0[:, None]
         if self.R:
-            self.eta += self.x @ state.beta
-        self.kern = self._kernel(self.eta, state.phi).copy()
+            log_mean += state.beta.T @ self.xt
+        log_mean += self.log_s
+        self.log_mean = log_mean
+        self.kern = self._kernel(log_mean, state.phi).copy()
         self.phit = self._phi_terms(state.phi).copy()
         self._phi_cut = ndtr(-state.phi / self.tau_phi)
 
@@ -321,65 +352,70 @@ class _Engine:
 
     # -- likelihood kernels ---------------------------------------------
 
-    def _kernel(self, eta, phi, y=None, log_s=None) -> np.ndarray:
-        """NB kernel at the linear predictor ``eta``, into scratch: on all
-        cells, or on a block of them given its counts ``y``, its rows' log
-        size factors ``log_s`` and its columns' dispersions ``phi``."""
+    def _kernel(self, log_mean, phi, y=None) -> np.ndarray:
+        """NB kernel at ``log_mean`` clipped at +-``_LOG_MEAN_CLIP``, into
+        scratch: on all cells, or on a block of them given its counts ``y``;
+        ``phi`` holds the dispersions of the block's features."""
         y = self.yf if y is None else y
-        log_s = self.log_s if log_s is None else log_s
-        shape = eta.shape
-        loglam = _log_mean(log_s[:, None], eta, out=_view(self._lm, shape))
-        return nb_kernel(
-            y, loglam, phi[None, :],
-            out=_view(self._kern_new, shape), work=_view(self._work, shape),
+        shape = log_mean.shape
+        loglam = np.clip(
+            log_mean, -_LOG_MEAN_CLIP, _LOG_MEAN_CLIP, out=_view(self._lm, shape)
         )
+        # each cell's dispersion, written out once: the kernel's two sums
+        # with it then run over contiguous arrays, not a (p, 1) broadcast
+        out = _view(self._kern_new, shape)
+        out[...] = phi[:, None]
+        return nb_kernel(y, loglam, out, out=out, work=_view(self._work, shape))
 
     def _phi_terms(self, phi) -> np.ndarray:
         """The dispersion-only terms of the NB log mass,
-        ``lgamma(y + phi) - lgamma(phi) + phi*log(phi)``, on the (n, p) grid
+        ``lgamma(y + phi) - lgamma(phi) + phi*log(phi)``, on the (p, n) grid
         for the dispersion vector ``phi``, into scratch. At a zero count
         ``lgamma(y + phi) - lgamma(phi)`` is exactly 0, so ``lgamma`` is
         evaluated on the nonzero counts only, in one call with
         ``lgamma(phi)``."""
-        cols, nnz = self.nz_cols, self.nz_flat.size
+        feats, nnz = self.nz_feat, self.nz_flat.size
         size = nnz + self.p
-        arg = self._eta_new[:size]
-        np.take(phi, cols, out=arg[:nnz], mode="clip")
+        arg = self._lm_new[:size]
+        np.take(phi, feats, out=arg[:nnz], mode="clip")
         arg[:nnz] += self.nz_y
         arg[nnz:] = phi
         lg = lgamma(arg, out=self._lm[:size], work=self._work[:size])
         nz = lg[:nnz]
-        nz -= np.take(lg[nnz:], cols, out=arg[:nnz], mode="clip")
+        nz -= np.take(lg[nnz:], feats, out=arg[:nnz], mode="clip")
         plogp = phi * np.log(phi)
-        nz += np.take(plogp, cols, out=arg[:nnz], mode="clip")
-        out = _view(self._phit_new, (self.n, self.p))
-        out[...] = plogp
-        np.put(out, self.nz_flat, nz)
+        nz += np.take(plogp, feats, out=arg[:nnz], mode="clip")
+        out = _view(self._phit_new, (self.p, self.n))
+        out[...] = plogp[:, None]
+        out.reshape(-1)[self.nz_flat] = nz
         return out
 
-    def _llr(self, kern, index=None, axis=None) -> np.ndarray:
-        """Per-column sum of the proposal's ``kern`` minus the cached kernel
-        over the cells not flagged as extra zeros: on all cells, or on the
-        block that ``_take(..., index, axis)`` picks."""
-        if index is None:
-            d = np.subtract(kern, self.kern, out=_view(self._work, kern.shape))
-            d *= self.active
+    def _llr(self, kern, feats=None, span=slice(None)) -> np.ndarray:
+        """Per-feature sum of the proposal's ``kern`` minus the cached kernel
+        over the cells not flagged as extra zeros, on the samples ``span``:
+        of every feature, or of the features ``feats`` (their whole rows
+        gathered, then cut to ``span``)."""
+        if feats is None:
+            cached, active = self.kern[:, span], self.active[:, span]
+            d = np.subtract(kern, cached, out=_view(self._work, kern.shape))
         else:
-            d = _take(self.kern, index, self._lm, axis)
+            d = _take(self.kern, feats, self._lm, axis=0)[:, span]
             np.subtract(kern, d, out=d)
-            d *= _take(self.active, index, self._work, axis)
-        return d.sum(axis=0)
+            active = _take(self.active, feats, self._work, axis=0)[:, span]
+        return np.einsum("ij,ij->i", d, active)
 
-    def _commit(self, accept, eta, kern) -> None:
-        """Copy a full-matrix proposal into the cache on accepted columns."""
-        np.copyto(self.eta, eta, where=accept)
-        np.copyto(self.kern, kern, where=accept)
-
-    def _commit_block(self, rows, cols, eta, kern) -> None:
-        """Copy a proposal's rows x cols block into the cache."""
-        block = np.ix_(rows, cols)
-        self.eta[block] = eta
-        self.kern[block] = kern
+    def _commit(self, rows, pairs, feats=None) -> None:
+        """Copy the rows ``rows`` of a proposal's blocks into the cache, at
+        the features ``feats[rows]`` (``rows`` when a block has every
+        feature). ``pairs`` holds (target, block) pairs: a cache array or
+        its slice of samples, and the contiguous block to copy into it. The
+        rows go through the ``_lm`` and ``_work`` scratch, which the move no
+        longer needs."""
+        if rows.size == 0:
+            return
+        dest = rows if feats is None else feats[rows]
+        for (target, block), buf in zip(pairs, (self._lm, self._work)):
+            target[dest] = _take(block, rows, buf, axis=0)
 
     def log_posterior(self, state: ModelState) -> float:
         """Full log posterior up to an additive constant (diagnostics)."""
@@ -422,12 +458,11 @@ class _Engine:
         for i, k in enumerate(self.nonref):
             mu[k] = np.where(gamma == 1, draws[i], 0.0)
         beta = rng.standard_normal((R, p)) * delta
-        norm_mean = (self.yf / self.s[:, None]).mean(axis=0)
-        mu0 = np.log(norm_mean + 0.01)
+        mu0 = self.mu0_start.copy()
         phi = np.full(p, 10.0)
         r = np.zeros((n, p), dtype=np.int8)
-        u = rng.random(self.zero_rows.size)
-        r[self.zero_rows, self.zero_cols] = u < 0.5
+        u = rng.random(self.zero_in.size)
+        np.put(r, self.zero_in, u < 0.5)
         state = ModelState(r=r, mu0=mu0, mu=mu, beta=beta, gamma=gamma, delta=delta, phi=phi)
         self.attach(state)
         return state
@@ -442,20 +477,16 @@ class _Engine:
         if self.prior_only:
             p1 = hp.a_pi / (hp.a_pi + hp.b_pi)
         else:
-            loglam0 = _log_mean(
-                _take(self.log_s, self.zero_rows, self._lm),
-                _take(self.eta, self.zero_flat, self._eta_new),
-                out=self._lm[:m],
-            )
+            loglam0 = _take(self.log_mean, self.zero_flat, self._lm)
+            np.clip(loglam0, -_LOG_MEAN_CLIP, _LOG_MEAN_CLIP, out=loglam0)
             p1 = zero_indicator_prob(
-                loglam0, _take(state.phi, self.zero_cols, self._phit_new),
+                loglam0, _take(state.phi, self.zero_feat, self._phit_new),
                 hp.a_pi, hp.b_pi, out=self._kern_new[:m], work=self._work[:m],
             )
-        u = rng.random(m, out=self._eta_new[:m])  # the step's only draw
+        u = rng.random(m, out=self._lm_new[:m])  # the step's only draw
         rnew = u < p1
-        state.r[self.zero_rows, self.zero_cols] = rnew
-        active = np.subtract(1.0, rnew, out=self._work[:m])
-        self.active[self.zero_rows, self.zero_cols] = active
+        np.put(state.r, self.zero_in, rnew)
+        self.active.reshape(-1)[self.zero_flat] = np.subtract(1.0, rnew, out=self._work[:m])
         self._count("r", m, int(rnew.sum()))
 
     # -- step 2: feature baselines ----------------------------------------
@@ -467,14 +498,19 @@ class _Engine:
         if self.prior_only:
             llr = 0.0
         else:
-            eta = np.add(self.eta, prop - state.mu0, out=_view(self._eta_new, self.eta.shape))
-            kern = self._kernel(eta, state.phi)
+            log_mean = np.add(
+                self.log_mean, (prop - state.mu0)[:, None],
+                out=_view(self._lm_new, self.log_mean.shape),
+            )
+            kern = self._kernel(log_mean, state.phi)
             llr = self._llr(kern)
         lpr = (np.square(state.mu0) - np.square(prop)) / (2.0 * self.hp.sigma0_sq)
         accept = log_u < llr + lpr
         state.mu0[accept] = prop[accept]
         if not self.prior_only:
-            self._commit(accept, eta, kern)
+            self._commit(
+                np.flatnonzero(accept), ((self.log_mean, log_mean), (self.kern, kern))
+            )
         self._count("mu0", p, int(accept.sum()))
 
     # -- step 3: discrimination indicators and group shifts ----------------
@@ -496,16 +532,17 @@ class _Engine:
             llr = np.zeros(p)
         else:
             # shift change of each flip: to zero when on, to prop when off;
-            # the reference group's rows do not change
-            rows = self.nonref_rows
-            d_mu = np.zeros((self.K, p))
+            # the reference group's samples do not change
+            span = self.nonref_span
+            log_mean = _view(self._lm_new, (p, span.stop - span.start))
             for i, k in enumerate(nonref):
-                d_mu[k] = np.where(on, -state.mu[k], prop[i])
-            eta = _take(self.eta, rows, self._eta_new, axis=0)
-            eta += _take(d_mu, self.z0[rows], self._work, axis=0)
-            y = _take(self.yf, rows, self._phit_new, axis=0)
-            kern = self._kernel(eta, state.phi, y, self.log_s[rows])
-            llr = self._llr(kern, rows, axis=0)
+                g = self.group_span[k]
+                np.add(
+                    self.log_mean[:, g], np.where(on, -state.mu[k], prop[i])[:, None],
+                    out=log_mean[:, g.start - span.start:g.stop - span.start],
+                )
+            kern = self._kernel(log_mean, state.phi, self.yf[:, span])
+            llr = self._llr(kern, span=span)
 
         t_prop = log_t_density(prop, self.t_df, self.t_scale_sq).sum(axis=0)
         q_prop = log_normal_density(prop, self.tau_mu**2).sum(axis=0)
@@ -526,7 +563,9 @@ class _Engine:
         self._count("gamma_add", p - n_on, acc_add)
         self._count("gamma_delete", n_on, cols.size - acc_add)
         if not self.prior_only:
-            self._commit_block(rows, cols, eta[:, cols], kern[:, cols])
+            self._commit(
+                cols, ((self.log_mean[:, span], log_mean), (self.kern[:, span], kern))
+            )
 
     def _gamma_scan(self, perm, gamma, llr, log_u, plus, minus) -> np.ndarray:
         """The discrimination add-delete decisions, feature by feature in
@@ -551,7 +590,6 @@ class _Engine:
 
     def _mu_within(self, state: ModelState, rng: np.random.Generator) -> None:
         """Within-model refresh of every active shift, one group at a time."""
-        p = self.p
         act = np.flatnonzero(state.gamma)
         for k in self.nonref:
             step = 0.5 * self.tau_mu * rng.standard_normal(act.size)
@@ -563,20 +601,29 @@ class _Engine:
             if self.prior_only:
                 llr_w = 0.0
             else:
-                rows = self.group_rows[k]
-                block = rows[:, None] * p + act  # flat indices of rows x act
-                eta = _take(self.eta, block, self._eta_new)
-                eta += step
-                y = _take(self.yf, block, self._phit_new)
-                kern = self._kernel(eta, state.phi[act], y, self.log_s[rows])
-                llr_w = self._llr(kern, block)
+                # whole rows gathered, the group's samples then cut from
+                # them: numpy's take would copy a sliced source whole first.
+                # The kernel's output buffer holds the gathered log means
+                # until the proposal is made from them.
+                g = self.group_span[k]
+                lm_rows = _take(self.log_mean, act, self._kern_new, axis=0)
+                log_mean = np.add(
+                    lm_rows[:, g], step[:, None],
+                    out=_view(self._lm_new, (act.size, g.stop - g.start)),
+                )
+                y = _take(self.yf, act, self._phit_new, axis=0)[:, g]
+                kern = self._kernel(log_mean, state.phi[act], y)
+                llr_w = self._llr(kern, act, g)
             lpr = log_t_density(prp, self.t_df, self.t_scale_sq) - log_t_density(
                 cur, self.t_df, self.t_scale_sq
             )
             accept = log_uu < llr_w + lpr
             state.mu[k, act[accept]] = prp[accept]
-            if not self.prior_only and np.any(accept):
-                self._commit_block(rows, act[accept], eta[:, accept], kern[:, accept])
+            if not self.prior_only:
+                self._commit(
+                    np.flatnonzero(accept),
+                    ((self.log_mean[:, g], log_mean), (self.kern[:, g], kern)), act,
+                )
             self._count("mu_within", act.size, int(accept.sum()))
 
     # -- step 4: covariate indicators and effects --------------------------
@@ -601,10 +648,10 @@ class _Engine:
         if self.prior_only:
             llr = np.zeros(p)
         else:
-            eta = _take(self.x, pick, self._eta_new, axis=1)
-            eta *= new_b - old_b
-            eta += self.eta
-            kern = self._kernel(eta, state.phi)
+            log_mean = _take(self.xt, pick, self._lm_new, axis=0)
+            log_mean *= (new_b - old_b)[:, None]
+            log_mean += self.log_mean
+            kern = self._kernel(log_mean, state.phi)
             llr = self._llr(kern)
 
         s_delta = state.delta.sum(axis=0).astype(np.float64)
@@ -630,7 +677,7 @@ class _Engine:
             state.delta[pick[jacc], jacc] = ~cur_on[jacc]
             state.beta[pick[jacc], jacc] = new_b[jacc]
             if not self.prior_only:
-                self._commit(accept, eta, kern)
+                self._commit(jacc, ((self.log_mean, log_mean), (self.kern, kern)))
         self._count("delta_add", int(add.sum()), int((accept & add).sum()))
         self._count("delta_delete", int(cur_on.sum()), int((accept & cur_on).sum()))
 
@@ -648,24 +695,24 @@ class _Engine:
             if self.prior_only:
                 llr_w = 0.0
             else:
-                shift = np.multiply(
-                    self.x[:, r_idx, None], step, out=_view(self._work, (self.n, act.size))
+                log_mean = _take(self.log_mean, act, self._lm_new, axis=0)
+                log_mean += np.einsum(  # the outer product step x covariate
+                    "i,j->ij", step, self.xt[r_idx], out=_view(self._work, log_mean.shape)
                 )
-                eta = _take(self.eta, act, self._eta_new, axis=1)
-                eta += shift
-                y = _take(self.yf, act, self._phit_new, axis=1)
-                kern = self._kernel(eta, state.phi[act], y)
-                llr_w = self._llr(kern, act, axis=1)
+                y = _take(self.yf, act, self._phit_new, axis=0)
+                kern = self._kernel(log_mean, state.phi[act], y)
+                llr_w = self._llr(kern, act)
             lpr = log_t_density(prp, self.t_df, self.t_scale_sq) - log_t_density(
                 cur, self.t_df, self.t_scale_sq
             )
             accept = log_uu < llr_w + lpr
             if np.any(accept):
-                cols_acc = act[accept]
-                state.beta[r_idx, cols_acc] = prp[accept]
+                state.beta[r_idx, act[accept]] = prp[accept]
                 if not self.prior_only:
-                    self.eta[:, cols_acc] = eta[:, accept]
-                    self.kern[:, cols_acc] = kern[:, accept]
+                    self._commit(
+                        np.flatnonzero(accept),
+                        ((self.log_mean, log_mean), (self.kern, kern)), act,
+                    )
             self._count("beta_within", act.size, int(accept.sum()))
 
     # -- step 5: dispersions ------------------------------------------------
@@ -683,12 +730,11 @@ class _Engine:
         if self.prior_only:
             llr = 0.0
         else:
-            kern = self._kernel(self.eta, prop_safe)
+            kern = self._kernel(self.log_mean, prop_safe)
             phit = self._phi_terms(prop_safe)
             d = np.add(kern, phit, out=_view(self._work, kern.shape))
             d -= np.add(self.kern, self.phit, out=_view(self._lm, kern.shape))
-            d *= self.active
-            llr = d.sum(axis=0)
+            llr = np.einsum("ij,ij->i", d, self.active)
         lpr = (hp.a_phi - 1.0) * (np.log(prop_safe) - np.log(state.phi)) - hp.b_phi * (
             prop_safe - state.phi
         )
@@ -698,8 +744,7 @@ class _Engine:
         state.phi[accept] = prop[accept]
         self._phi_cut[accept] = cut[accept]
         if not self.prior_only:
-            np.copyto(self.kern, kern, where=accept)
-            np.copyto(self.phit, phit, where=accept)
+            self._commit(np.flatnonzero(accept), ((self.kern, kern), (self.phit, phit)))
         self._count("phi", p, int(accept.sum()))
 
     # -- one sweep ------------------------------------------------------------
@@ -883,6 +928,22 @@ def default_max_workers() -> int:
     return os.cpu_count() or 1
 
 
+@contextmanager
+def chain_pool(n_chains: int, max_workers: int | None = None):
+    """A process pool that runs up to ``n_chains`` chains at once, for
+    several ``run_chains_parallel`` calls to share; ``None`` when the chains
+    would run in this process (one worker or one chain).
+
+    ``max_workers`` caps the workers as in ``run_chains_parallel``."""
+    workers = max_workers if max_workers is not None else default_max_workers()
+    workers = min(workers, n_chains)
+    if workers <= 1:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield pool
+
+
 def run_chains_parallel(
     data: Dataset,
     hp: Hyperparameters,
@@ -890,8 +951,10 @@ def run_chains_parallel(
     configs: list[ChainConfig],
     size_factors: SizeFactors | None = None,
     max_workers: int | None = None,
+    pool: ProcessPoolExecutor | None = None,
 ) -> list[ChainTrace]:
-    """Run several chains, in worker processes when available.
+    """Run several chains, in worker processes when available: on ``pool``
+    when given (see ``chain_pool``), else on a pool of their own.
 
     Traces are bit-identical to running each chain sequentially; the chain
     seeds must be pairwise distinct.
@@ -902,10 +965,10 @@ def run_chains_parallel(
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"chain seeds must be distinct, got {seeds}")
     sf = size_factors if size_factors is not None else estimate_css(data.counts)
-    workers = max_workers if max_workers is not None else default_max_workers()
-    workers = min(workers, len(configs))
-    if workers <= 1 or len(configs) == 1:
-        return [run_chain(data, hp, scales, c, size_factors=sf) for c in configs]
     jobs = [(data, hp, scales, c, sf) for c in configs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    if pool is not None:
         return list(pool.map(_chain_worker, jobs))
+    with chain_pool(len(configs), max_workers) as own:
+        if own is None:
+            return [_chain_worker(job) for job in jobs]
+        return list(own.map(_chain_worker, jobs))

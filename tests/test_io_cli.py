@@ -266,6 +266,28 @@ def test_fit_smoke_writes_all_outputs(tiny_files, tmp_path):
     assert np.all((ppi >= 0) & (ppi <= 1))
 
 
+def test_fit_without_covariates(tiny_files, tmp_path):
+    # a covariates file with the sample ids alone: R = 0
+    src, counts, *_ = tiny_files
+    work = tmp_path / "no_covariates"
+    work.mkdir()
+    for name in ("counts.csv", "groups.csv"):
+        (work / name).write_bytes((src / name).read_bytes())
+    (work / "covariates.csv").write_text(
+        "sample_id\n" + "".join(f"{sid}\n" for sid in counts.sample_ids)
+    )
+    out = tmp_path / "fit_out"
+    assert main(_fit_args(work, out)) in (0, 3)
+    for name in FIT_OUTPUTS:
+        assert (out / name).exists(), name
+    assert (out / "ppi_delta.csv").read_text().splitlines() == [
+        "feature_id,covariate_id,ppi,selected,beta_mean"
+    ]
+    ids, ppi, _ = zio.read_ppi_gamma(out / "ppi_gamma.csv")
+    assert ids == counts.feature_ids
+    assert np.all((ppi >= 0) & (ppi <= 1))
+
+
 def test_fit_data_error_exit_code(tmp_path, tiny_files):
     src, *_ = tiny_files
     bad = tmp_path / "bad.csv"
@@ -338,6 +360,28 @@ def test_sim_study_smoke(tmp_path):
     assert (out / "aggregate.csv").exists()
     assert (out / "roc_gamma_rep0.csv").exists()
     assert (out / "roc_delta_rep0.csv").exists()
+
+
+def test_sim_study_shared_pool_matches_one_process(tmp_path):
+    # every replicate's chains run on one pool of two workers, or in this
+    # process: the outputs are the same bytes
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"study{threads}"
+        assert main([
+            "sim-study", "--replicates", "2", "--n", "12", "--p", "10",
+            "--n-disc", "3", "--n-covariates", "2", "--m-active", "1",
+            "--total-min", "20000", "--total-max", "40000", "--pi0", "0.3",
+            "--chains", "2", "--iterations", "60", "--seed", "5",
+            "--sim-seed", "7", "--out", str(out), "--no-filter",
+            "--threads", threads,
+        ]) == 0
+        outs.append(out)
+    names = sorted(f.name for f in outs[0].iterdir() if f.name != "run_config.resolved")
+    assert "roc_gamma_rep1.csv" in names
+    assert names == sorted(f.name for f in outs[1].iterdir() if f.name != "run_config.resolved")
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_trace_dump_written(tiny_files, tmp_path):

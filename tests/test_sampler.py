@@ -22,6 +22,7 @@ from zinbreg.sampler import (
     ChainConfig,
     ModelState,
     _Engine,
+    chain_pool,
     run_chain,
     run_chains_parallel,
     zero_indicator_prob,
@@ -175,6 +176,25 @@ def test_parallel_matches_sequential(tiny_dataset):
     par = run_chains_parallel(tiny_dataset, HP, SCALES, configs, max_workers=2)
     for a, b in zip(seq, par):
         assert_traces_equal(a, b)
+
+
+def test_shared_pool_matches_sequential(tiny_dataset):
+    configs = [ChainConfig(n_iter=40, burn_in=20, seed=s) for s in (101, 202)]
+    seq = [run_chain(tiny_dataset, HP, SCALES, c) for c in configs]
+    with chain_pool(len(configs), max_workers=2) as pool:
+        assert pool is not None
+        runs = [run_chains_parallel(tiny_dataset, HP, SCALES, configs, pool=pool)
+                for _ in range(2)]
+    for par in runs:
+        for a, b in zip(seq, par):
+            assert_traces_equal(a, b)
+
+
+def test_chain_pool_is_none_for_one_worker_or_chain():
+    with chain_pool(2, max_workers=1) as pool:
+        assert pool is None
+    with chain_pool(1, max_workers=2) as pool:
+        assert pool is None
 
 
 def test_parallel_single_chain_identical(tiny_dataset):
@@ -568,26 +588,53 @@ def test_cached_state_matches_fresh_attach():
     rng = np.random.default_rng(13)
     for _ in range(50):
         eng.sweep(state, rng)
-        fresh = _engine(ds, sf)
-        fresh.attach(state)
-        np.testing.assert_array_equal(eng.active, fresh.active)
-        # eta takes one rounding per accepted move (at most six a sweep
-        # here), so after 50 sweeps it is within ~300 eps |eta| of a fresh
-        # sum; the kernel moves by |dk/deta| <= 2y + phi times that, plus
-        # a few eps of the magnitude of its terms
-        eta_tol = 1e-12 * max(1.0, float(np.abs(fresh.eta).max()))
-        np.testing.assert_allclose(eng.eta, fresh.eta, rtol=0, atol=eta_tol)
-        loglam = np.log(sf.values)[:, None] + fresh.eta
-        terms = np.abs(y * loglam) + (y + state.phi) * np.abs(
-            np.logaddexp(loglam, np.log(state.phi))
-        )
-        kern_tol = (2.0 * y + state.phi) * eta_tol + 1e-14 * terms
-        assert np.all(np.abs(eng.kern - fresh.kern) <= kern_tol)
-        # the phi terms are evaluated afresh on every change, never updated
-        np.testing.assert_allclose(eng.phit, fresh.phit, rtol=1e-13, atol=1e-13)
-        assert eng.log_posterior(state) == pytest.approx(
-            fresh.log_posterior(state), rel=0, abs=1e-12 + float(kern_tol.sum())
-        )
+        _assert_cache_matches_fresh_attach(eng, state, ds, sf)
+
+
+def test_sweeps_without_covariates_keep_the_cache():
+    # R = 0: the covariate block is (0, n), and the covariate step proposes
+    # nothing
+    ds = small_dataset(seed=99, n=12, p=8, n_covariates=0)
+    sf = estimate_css(ds.counts)
+    eng, state = _start(ds, 16, sf)
+    assert eng.xt.shape == (0, ds.n)
+    start = state.copy()
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        eng.sweep(state, rng)
+        _assert_cache_matches_fresh_attach(eng, state, ds, sf)
+    assert state.delta.shape == (0, ds.p) and state.beta.shape == (0, ds.p)
+    assert not np.array_equal(state.mu0, start.mu0)
+    assert eng.accept_counts["mu0"] > 0 and eng.accept_counts["phi"] > 0
+    for move in ("delta_add", "delta_delete", "beta_within"):
+        assert eng.proposal_counts[move] == 0, move
+
+
+def _assert_cache_matches_fresh_attach(eng, state, ds, sf):
+    """The engine's per-cell cache after its moves agrees with one built
+    afresh from ``state``."""
+    fresh = _engine(ds, sf)
+    fresh.attach(state)
+    np.testing.assert_array_equal(eng.active, fresh.active)
+    # the log mean takes one rounding per accepted move (at most six a
+    # sweep in these tests), so after 50 sweeps it is within ~300 eps |eta|
+    # of a fresh sum, eta being the log mean less log s; the kernel moves by
+    # |dk/dlog mean| <= 2y + phi times that, plus a few eps of the
+    # magnitude of its terms. The cache is (p, n), samples in group order.
+    loglam = fresh.log_mean
+    lm_tol = 1e-12 * max(1.0, float(np.abs(loglam - fresh.log_s).max()))
+    np.testing.assert_allclose(eng.log_mean, loglam, rtol=0, atol=lm_tol)
+    y_cells, phi = eng.yf, state.phi[:, None]
+    terms = np.abs(y_cells * loglam) + (y_cells + phi) * np.abs(
+        np.logaddexp(loglam, np.log(phi))
+    )
+    kern_tol = (2.0 * y_cells + phi) * lm_tol + 1e-14 * terms
+    assert np.all(np.abs(eng.kern - fresh.kern) <= kern_tol)
+    # the phi terms are evaluated afresh on every change, never updated
+    np.testing.assert_allclose(eng.phit, fresh.phit, rtol=1e-13, atol=1e-13)
+    assert eng.log_posterior(state) == pytest.approx(
+        fresh.log_posterior(state), rel=0, abs=1e-12 + float(kern_tol.sum())
+    )
 
 
 def test_log_posterior_prior_only_differences_match_oracle():
@@ -649,7 +696,7 @@ def test_phi_terms_equal_the_full_matrix_form():
     assert 0 < np.count_nonzero(y == 0) < y.size
     eng = _engine(ds)
     phi = np.random.default_rng(4).uniform(0.05, 50.0, ds.p)
-    np.testing.assert_array_equal(eng._phi_terms(phi), oracle.nb_phi_terms(eng.yf, phi[None, :]))
+    np.testing.assert_array_equal(eng._phi_terms(phi), oracle.nb_phi_terms(eng.yf, phi[:, None]))
 
 
 def test_clipped_log_means_keep_the_likelihood_finite():
@@ -658,9 +705,9 @@ def test_clipped_log_means_keep_the_likelihood_finite():
     eng, state = _start(ds, 3, sf=sf)
     rng = np.random.default_rng(8)
     for value in (1e4, -1e4):
-        eng.eta[:] = value
+        eng.log_mean[:] = value
         with np.errstate(over="raise"):
-            kern = eng._kernel(eng.eta, state.phi)
+            kern = eng._kernel(eng.log_mean, state.phi)
             eng.step_r(state, rng)
         assert np.all(np.isfinite(kern)), value
         oracle.check_state(state, ds.counts.counts)
@@ -702,7 +749,7 @@ def test_cache_shares_no_memory_with_the_scratch_buffers():
     rng = np.random.default_rng(15)
 
     def assert_apart():
-        for cache in (eng.eta, eng.kern, eng.phit, eng.active):
+        for cache in (eng.log_mean, eng.kern, eng.phit, eng.active):
             assert not np.shares_memory(cache, eng._scratch)
 
     assert_apart()
