@@ -8,11 +8,14 @@ loaded next to this one, under another name, and both engines run from one
 seed on one simulated data set (n=60, 7 covariates, 2 groups, small counts
 with extra zeros) for 200/100/40 sweeps at p=100/300/1000, one sweep of
 each in turn. For each shape it prints whether the final states and the
-accept counts are identical, the largest difference in a continuous
-parameter (mu0, mu, beta, phi), and the median milliseconds per sweep of
-each engine, then each engine's median milliseconds per move (``step_r``
-... ``step_phi``, timed inside the same sweeps). The exit status is 1 when
-any shape differs.
+accept counts are identical, the first sweep (counted from 1) after which
+the two states differ and the parameter block that differs first, in the
+order a sweep updates them (``r``, ``mu0``, ``gamma``, ``mu``, ``delta``,
+``beta``, ``phi``, then the accept counts), the largest difference in a
+continuous parameter (mu0, mu, beta, phi), and the median milliseconds per
+sweep of each engine, then each engine's median milliseconds per move
+(``step_r`` ... ``step_phi``, timed inside the same sweeps). The exit
+status is 1 when any shape differs.
 
 Usage:
   PYTHONPATH=src python3 scripts/same_decisions.py PARENT_SRC [--seed 1]
@@ -40,8 +43,8 @@ from zinbreg.simulate import generate_zinb
 
 SHAPES = ((100, 200), (300, 100), (1000, 40))  # (p, sweeps)
 STEPS = ("step_r", "step_mu0", "step_gamma_mu", "step_delta_beta", "step_phi")
-DISCRETE = ("r", "gamma", "delta")
 CONTINUOUS = ("mu0", "mu", "beta", "phi")
+BLOCKS = ("r", "mu0", "gamma", "mu", "delta", "beta", "phi")  # in sweep order
 
 
 def load_package(src: Path, name: str = "zinbreg_parent"):
@@ -85,27 +88,44 @@ def time_steps(eng) -> dict:
     return times
 
 
+def first_difference(eng_a, a, eng_b, b) -> str:
+    """The first parameter block, in sweep order, in which the states ``a``
+    and ``b`` differ, then ``accept counts``; empty when they agree."""
+    for name in BLOCKS:
+        if not np.array_equal(getattr(a, name), getattr(b, name)):
+            return name
+    if (eng_a.accept_counts, eng_a.proposal_counts) != (eng_b.accept_counts,
+                                                        eng_b.proposal_counts):
+        return "accept counts"
+    return ""
+
+
 def compare(engines, ds, sf, sweeps: int, seed: int) -> dict:
-    """Run each engine class from one seed, alternating sweeps."""
+    """Run each engine class from one seed, alternating sweeps, and compare
+    the two states after each sweep until they first differ."""
     hp, scales = Hyperparameters(), ProposalScales()
     runs = []
     for engine_class in engines:
         eng = engine_class(ds, sf, hp, scales)
         rng = np.random.default_rng(seed)
         runs.append((eng, eng.init_state(rng), rng, [], time_steps(eng)))
-    for _ in range(sweeps):
+    (eng_a, a, _, t_a, steps_a), (eng_b, b, _, t_b, steps_b) = runs
+    diverged = None
+    for sweep in range(1, sweeps + 1):
         for eng, state, rng, times, _ in runs:
             start = time.perf_counter()
             eng.sweep(state, rng)
             times.append(time.perf_counter() - start)
-    (eng_a, a, _, t_a, steps_a), (eng_b, b, _, t_b, steps_b) = runs
-    same = all(np.array_equal(getattr(a, f), getattr(b, f)) for f in DISCRETE + CONTINUOUS)
-    same &= eng_a.accept_counts == eng_b.accept_counts
-    same &= eng_a.proposal_counts == eng_b.proposal_counts
+        if diverged is None:
+            block = first_difference(eng_a, a, eng_b, b)
+            if block:
+                diverged = (sweep, block)
+    same = not first_difference(eng_a, a, eng_b, b)
     diff = max(float(np.max(np.abs(getattr(a, f) - getattr(b, f)), initial=0.0))
                for f in CONTINUOUS)
     return {
         "identical": same,
+        "diverged": diverged,
         "max_diff": diff,
         "ms_parent": 1e3 * statistics.median(t_a),
         "ms_this": 1e3 * statistics.median(t_b),
@@ -122,15 +142,17 @@ def main(argv=None) -> int:
     parent = load_package(args.parent_src.resolve())
     engines = (parent.sampler._Engine, _Engine)
 
-    print("    p  sweeps  identical  max |diff|   parent ms/sweep  this ms/sweep  change")
+    print("    p  sweeps  identical  first difference      max |diff|   parent ms/sweep  "
+          "this ms/sweep  change")
     all_same = True
     steps = []
     for p, sweeps in SHAPES:
         ds, sf = dataset(p, args.seed)
         r = compare(engines, ds, sf, sweeps, args.seed)
         all_same &= r["identical"]
+        where = "-" if r["diverged"] is None else "sweep {}: {}".format(*r["diverged"])
         print(f"{ds.p:5d}  {sweeps:6d}  {'yes' if r['identical'] else 'NO':>9}  "
-              f"{r['max_diff']:10.3g}  {r['ms_parent']:16.2f}  {r['ms_this']:13.2f}  "
+              f"{where:<20}  {r['max_diff']:10.3g}  {r['ms_parent']:16.2f}  {r['ms_this']:13.2f}  "
               f"{change(r['ms_parent'], r['ms_this'])}")
         steps.append((ds.p, r["steps"]))
     print("\n    p  move               parent ms/sweep  this ms/sweep  change")

@@ -1,22 +1,32 @@
-"""Negative binomial kernel and the prior densities the sampler uses.
+"""The negative binomial log mass in log-odds form, and the prior densities
+the sampler uses.
 
 The model has one likelihood: a negative binomial mass per matrix cell,
-summed over the cells not flagged as extra zeros. Its log splits into
+summed over the cells not flagged as extra zeros. With mean ``lam``,
+dispersion ``phi`` and the log odds ``M = log(lam/phi)``, its log at count
+``y`` is
 
-* ``nb_kernel(y, loglam, phi)``: the terms that involve the mean,
-  ``y*log(lam) - (y + phi)*log(lam + phi)``, taking the log mean and
-  computing ``log(lam + phi)`` as ``log(exp(loglam) + phi)``. It is finite
-  for log means up to ~709, where ``exp`` overflows; the sampler clips its
-  log means at +-700;
-* the terms in the dispersion alone,
-  ``lgamma(y + phi) - lgamma(phi) + phi*log(phi)``, which is exactly
-  ``phi*log(phi)`` at ``y = 0`` (the sampler's ``_Engine._phi_terms``);
-* ``-lgamma(y + 1)``, which depends on the data only.
+    y*M - (y + phi)*softplus(M) + lgamma(y + phi) - lgamma(phi) - lgamma(y + 1)
 
-Every sampler move evaluates the kernel through one engine method, into
-the engine's scratch buffers (``out=``, ``work=``). The NB has mean
-``lam`` and variance ``lam + lam**2 / phi``; large ``phi`` recovers the
-Poisson.
+with ``softplus(M) = log(1 + exp(M)) = log(1 + lam/phi)``. The sampler keeps
+the three parts apart:
+
+* ``y*M``: linear in the log mean, so the change a mean move makes to it is
+  the move's shift times a sum of counts, a constant of the data;
+* ``(y + phi)*softplus(M)``: the one per-cell term, weighted by ``y + phi``
+  at the cells not flagged; at ``y = 0`` the log mass is ``-phi*softplus(M)``;
+* the ``lgamma`` terms: ``lgamma(y + phi) - lgamma(phi)`` is exactly 0 at
+  ``y = 0``, so the dispersion terms are a per-feature sum over the nonzero
+  counts, and ``lgamma(y + 1)`` depends on the data only.
+
+``softplus`` holds ``M`` at 700 from above before its ``exp``, which would
+overflow past ~709.8, so every term stays finite. Past the clip the
+softplus stays at 700 while ``y*M`` keeps growing, so there the log mass
+is not the NB's: it rises with ``M`` at ``y > 0``. It needs no lower clip:
+below about -745 ``exp`` underflows to 0 and ``log1p(0)`` is exactly 0,
+the softplus's limit. The NB
+has mean ``lam`` and variance ``lam + lam**2 / phi``; large ``phi``
+recovers the Poisson.
 
 The slab priors on group shifts and covariate effects are the
 marginalized scaled-t densities ``t_{2a}(0, b/a)`` obtained by
@@ -33,7 +43,20 @@ import math
 
 import numpy as np
 
-__all__ = ["nb_kernel", "log_normal_density", "log_t_density"]
+__all__ = ["softplus", "log_normal_density", "log_t_density"]
+
+# the log odds are held here before the softplus's exp, which keeps it finite
+_LOG_ODDS_CLIP = 700.0
+
+
+def softplus(m, out=None):
+    """``log(1 + exp(m))`` at the log odds ``m``, held at ``m = 700`` from
+    above, into ``out`` (a float64 array of ``m``'s shape, which may be
+    ``m`` itself) when given. Three passes: the clip, ``exp`` and
+    ``log1p``."""
+    out = np.minimum(m, _LOG_ODDS_CLIP, out=out)
+    np.exp(out, out=out)
+    return np.log1p(out, out=out)
 
 
 def log_normal_density(x, var):
@@ -50,32 +73,3 @@ def log_t_density(x, df, scale_sq):
         - 0.5 * np.log(df * np.pi * scale_sq)
         - ((df + 1.0) / 2.0) * np.log1p(np.square(x) / (df * scale_sq))
     )
-
-
-def nb_kernel(y, loglam, phi, out=None, work=None):
-    """Mean-dependent part of the NB log mass at count ``y``, log mean
-    ``loglam`` and dispersion ``phi`` (broadcastable arrays).
-
-    ``out`` and ``work``, when given, are float64 arrays of the broadcast
-    shape: the result is written into ``out`` and returned, and ``work`` is
-    overwritten. The kernel holds three arrays of that shape at once (the
-    log mean, ``log(lam + phi)`` and ``y + phi``), so a caller that passes
-    both, and a ``loglam`` it owns, allocates nothing. Without them the two
-    are allocated; the arithmetic is the same either way. ``phi`` may be
-    ``out`` itself: the kernel reads ``phi`` for the last time in the step
-    that first writes ``out``.
-
-    Finite for log means up to ~709, where ``exp(loglam)`` overflows; the
-    engine clips its log means at +-700.
-    """
-    if out is None:
-        out = np.empty(np.broadcast(y, loglam, phi).shape)
-    if work is None:
-        work = np.empty_like(out)
-    log_sum = np.exp(loglam, out=work)
-    log_sum += phi
-    np.log(log_sum, out=log_sum)  # log(lam + phi)
-    np.add(y, phi, out=out)
-    out *= log_sum
-    np.multiply(y, loglam, out=work)
-    return np.subtract(work, out, out=out)  # y log(lam) - (y + phi) log(lam + phi)

@@ -20,20 +20,33 @@ Everything a chain does is a pure function of (data, size factors,
 hyperparameters, proposal scales, chain config); identical seeds give
 bit-identical traces regardless of how chains are scheduled.
 
-Every likelihood term goes through the one negative binomial kernel of
-``likelihood.py``, at log means ``log(s) + mu0 + mu[group] + beta . x``
-clipped at +-700 so that the kernel's ``exp`` stays finite whatever the
-size factors. ``_Engine`` keeps the current state's per-cell values up to
-date: the unclipped log mean, the kernel at its clipped value and the
-dispersion-only terms, next to the mask of cells not flagged as extra
-zeros. The dispersion-only terms are ``phi*log(phi)`` at zero counts, so
-their ``lgamma`` pair is evaluated on the nonzero counts alone. A move
-evaluates the kernel only at its proposal and only on the cells it
-touches; its log likelihood ratio is the masked per-feature sum of the
-proposal's kernel minus the cached one, and it copies the proposal's
-cells into the cache where it accepts. The log posterior is a masked sum
-of the cache plus the priors. Prior-only chains skip the likelihood, so
-their moves leave the cache alone and the log posterior rebuilds it.
+The likelihood is taken in the log-odds form of ``likelihood.py``: per
+cell, ``y*M - (y + phi)*softplus(M)`` at the log odds
+``M = log(mean/phi)``, the log mean being
+``log(s) + mu0 + mu[group] + beta . x``, plus per-feature dispersion
+sums. ``_Engine`` keeps a cache of the current state:
+
+* per cell: the mask ``active`` of the cells not flagged as extra zeros,
+  the unclipped log odds ``M`` (``log_odds``), its softplus ``sp`` and the
+  weights ``w = active*(y + phi)``;
+* per feature: ``G = sum of lgamma(y + phi) - lgamma(phi)`` over its
+  nonzero counts (the terms vanish at a zero count);
+* constants of the data: each feature's count sums, in total, per group
+  (``y_group``) and against each covariate (``y_x``).
+
+A mean move shifts ``M`` by its change in the log mean. The count term of
+its log likelihood ratio is then the shift times the matching count sum,
+and the rest is ``-sum w*(sp' - sp)`` over the cells it touches: one
+softplus (three passes) at its proposal, a difference and an ``einsum``.
+The extra-zero step reads the cached softplus at the zero cells, where the
+log mass is ``-phi*sp``. The dispersion move shifts ``M`` by
+``-(log phi' - log phi)``, moves the weights with ``phi`` and takes
+``lgamma`` on the nonzero counts and the p dispersions only. A move copies
+its accepted rows into the cache, and the log posterior is a sum over the
+cache plus the priors. The likelihood of a move goes through ``_ratio``
+and ``_commit`` alone: in a prior-only chain the first gives a zero ratio
+and the second copies nothing, so the moves leave the cache alone and the
+log posterior rebuilds it.
 
 The engine stores its per-cell arrays feature-major, (p, n): the counts,
 the mask, the cache and the scratch views. Its samples are ordered by
@@ -43,22 +56,22 @@ non-reference groups' cells together are the slice after the reference's.
 A walk over some features gathers and commits whole rows (of a group's
 slice, for the group shifts); a move over every feature commits its
 accepted rows; a ratio is one fused ``einsum`` of the differences with the
-mask. ``ModelState`` keeps the input's sample order: ``attach`` and the
-extra-zero step map between the two orders, the latter visiting the zero
-cells in the input's row-major order, so a seed draws the same chain in
+weights. ``ModelState`` keeps the input's sample order: ``attach`` and the
+extra-zero step map between the two orders. The extra-zero step visits
+the zero cells in the engine's order and gives each the uniform of its
+place in the input's row-major order, so a seed draws the same chain in
 any layout.
 
-A move's per-cell arithmetic allocates nothing. ``_Engine`` owns five
+A move's per-cell arithmetic allocates nothing. ``_Engine`` owns four
 flat float64 scratch buffers, allocated once, and every move writes into
-them: its proposal's log mean, the clipped log mean and the kernel
-(``nb_kernel``'s ``out=`` and ``work=``), dispersion terms (``lgamma``'s
-``out=`` and ``work=``), the rows of data and cache it gathers, the
-differences of its log likelihood ratio and the rows it commits. A block
-move (features x samples) uses the first features*samples elements of a
-buffer, reshaped. What a move still allocates is per feature. The cache
-never points into scratch: ``attach`` copies out of it, and a move
-copies its accepted rows into the cache, since the next move overwrites
-the buffers.
+them: its proposal's log odds, their softplus, the rows of data and cache
+it gathers, the blocks it builds its shift from, the differences of its
+ratio, the ``lgamma`` arguments of the dispersion sums and the rows it
+commits. A block move (features x samples) uses the first
+features*samples elements of a buffer, reshaped. What a move still
+allocates is per feature. The cache never points into scratch: ``attach``
+builds it in fresh arrays, and a move copies its accepted rows into the
+cache, since the next move overwrites the buffers.
 
 Moves that are conditionally independent across features are evaluated
 in single vectorized passes; the one sequential scan (the discrimination
@@ -69,7 +82,7 @@ on, and writes its shift changes in one vectorized step afterwards.
 Tests drive ``_Engine`` directly, one step at a time.
 
 The special functions come from the package's own ``special.py``: the
-vectorized ``lgamma`` for the dispersion terms and ``sum lgamma(y + 1)``,
+vectorized ``lgamma`` for the dispersion sums and ``sum lgamma(y + 1)``,
 ``betaln`` (through ``math.lgamma``) for the collapsed indicator priors,
 and the normal CDF ``ndtr`` and quantile ``ndtri`` for the dispersion
 proposal; ``ndtr(-phi/tau)`` of the current dispersions is kept between
@@ -92,7 +105,7 @@ import numpy as np
 
 from .data import Dataset, Hyperparameters, ProposalScales
 from .errors import EmptyTrace, NumericalFailure, UsageError
-from .likelihood import log_normal_density, log_t_density, nb_kernel
+from .likelihood import log_normal_density, log_t_density, softplus
 from .normalization import SizeFactors, estimate_css
 from .special import betaln, lgamma, ndtr, ndtri
 
@@ -107,11 +120,6 @@ __all__ = [
 ]
 
 THREADS_ENV_VAR = "ZINBREG_THREADS"
-
-# Log means are clipped here before they enter the kernel, which keeps
-# exp(log mean), and so every likelihood term, finite for any finite
-# parameter value and size factor.
-_LOG_MEAN_CLIP = 700.0
 
 
 def _view(buf, shape) -> np.ndarray:
@@ -223,10 +231,10 @@ class ChainTrace:
 
 
 class _Engine:
-    """Precomputed data views, the per-cell cache of the current state, the
-    scratch buffers the moves write their proposals into, and the five
-    update steps. Per-cell arrays are (p, n): one row per feature, its
-    samples in the engine's group order."""
+    """Precomputed data views and constants, the likelihood cache of the
+    current state, the scratch buffers the moves write their proposals
+    into, and the five update steps. Per-cell arrays are (p, n): one row
+    per feature, its samples in the engine's group order."""
 
     def __init__(
         self,
@@ -262,18 +270,26 @@ class _Engine:
         self.log_s = np.log(s)[self.order]
         # the starting baselines: log mean normalized counts (+ 0.01)
         self.mu0_start = np.log((y.astype(np.float64) / s[:, None]).mean(axis=0) + 0.01)
-        # zero cells as flat indices into the input (n, p) grid, in its
-        # row-major order; their features; and the same cells as flat
-        # indices into the engine's (p, n) grid, in that input order
-        self.zero_in = np.flatnonzero(y == 0)
-        rows, self.zero_feat = np.divmod(self.zero_in, p)
-        position = np.empty(n, dtype=np.intp)
-        position[self.order] = np.arange(n)
-        self.zero_flat = self.zero_feat * n + position[rows]
-        # nonzero cells as flat indices into (p, n), their features and counts
-        self.nz_flat = np.flatnonzero(self.yf)
-        self.nz_feat = self.nz_flat // n
-        self.nz_y = self.yf.ravel()[self.nz_flat]
+        # count sums of each feature: in total, per group (K, p) and against
+        # each covariate (R, p); a mean move's count term is its shift
+        # times one of them
+        self.y_tot = self.yf.sum(axis=1)
+        self.y_group = np.array([self.yf[:, g].sum(axis=1) for g in self.group_span])
+        self.y_x = self.xt @ self.yf.T
+        # zero cells as flat indices into the engine's (p, n) grid, in its
+        # order; their features; the same cells as flat indices into the
+        # input's (n, p) grid; and each one's place in the input's
+        # row-major order, the index of its uniform
+        self.zero_cells = np.flatnonzero(self.yf == 0)
+        self.zero_feat, position = np.divmod(self.zero_cells, n)
+        self.zero_in = self.order[position] * p + self.zero_feat
+        input_order = np.argsort(self.zero_in)
+        self.zero_draw = np.empty_like(input_order)
+        self.zero_draw[input_order] = np.arange(input_order.size)
+        # nonzero cells: their features and counts
+        nz_flat = np.flatnonzero(self.yf)
+        self.nz_feat = nz_flat // n
+        self.nz_y = self.yf.ravel()[nz_flat]
         # sum of lgamma(y + 1) over the cells not flagged as extra zeros:
         # only zero cells can be flagged and they add nothing, so it is a
         # constant of the data
@@ -307,41 +323,48 @@ class _Engine:
         self.accept_counts = {m: 0 for m in _MOVES}
         self._window_prop = {m: 0 for m in _MOVES}
         self._window_acc = {m: 0 for m in _MOVES}
-        # per-cell cache of the current state, all (p, n) float
+        # the likelihood cache of the current state: per cell, (p, n) float
         self.active: np.ndarray | None = None    # 1 - r
-        self.log_mean: np.ndarray | None = None  # log s + mu0 + mu[group] + beta . x
-        self.kern: np.ndarray | None = None      # nb_kernel at the clipped log mean
-        self.phit: np.ndarray | None = None      # dispersion-only terms at phi
+        self.log_odds: np.ndarray | None = None  # M = log mean - log phi
+        self.sp: np.ndarray | None = None        # softplus(M)
+        self.w: np.ndarray | None = None         # active*(y + phi)
+        # and per feature: sum of lgamma(y + phi) - lgamma(phi), y > 0
+        self.G: np.ndarray | None = None
         # ndtr(-phi/tau_phi) at the current dispersions; None after the
         # scale changes
         self._phi_cut: np.ndarray | None = None
-        # scratch: five flat buffers of (n + 1) p elements, room for the n p
-        # cells and for the dispersion terms' lgamma arguments (one per
+        # scratch: four flat buffers of (n + 1) p elements, room for the n p
+        # cells and for the dispersion sums' lgamma arguments (one per
         # nonzero cell and one per feature)
-        self._scratch = np.empty((5, (n + 1) * p))
+        self._scratch = np.empty((4, (n + 1) * p))
         (
-            self._lm_new,     # the proposal's log mean
-            self._lm,         # its clipped log mean; gathered and committed rows
-            self._kern_new,   # the kernel at the proposal
-            self._work,       # the kernel's working space; differences
-            self._phit_new,   # dispersion terms at a proposal; count blocks
+            self._lm_new,   # the proposal's log odds
+            self._sp_new,   # their softplus; lgamma values
+            self._work1,    # gathered rows, shift blocks, differences,
+            self._work2,    # lgamma arguments and working space, commits
         ) = self._scratch
+        # the last proposal's log odds and softplus, and its dispersion
+        # sums, for ``_commit``
+        self._proposal: tuple[np.ndarray, np.ndarray] | None = None
+        self._G_new: np.ndarray | None = None
 
     # -- bookkeeping ---------------------------------------------------
 
     def attach(self, state: ModelState) -> None:
-        """Build the per-cell cache from ``state``. The cache is copied out
-        of the scratch buffers, which the next move overwrites."""
+        """Build the likelihood cache from ``state``, in fresh arrays."""
         shape = (self.p, self.n)
         self.active = np.subtract(1.0, state.r[self.order].T, out=np.empty(shape))
-        log_mean = np.take(state.mu.T, self.z0, axis=1, out=np.empty(shape))
-        log_mean += state.mu0[:, None]
+        log_odds = np.take(state.mu.T, self.z0, axis=1, out=np.empty(shape))
+        log_odds += state.mu0[:, None]
         if self.R:
-            log_mean += state.beta.T @ self.xt
-        log_mean += self.log_s
-        self.log_mean = log_mean
-        self.kern = self._kernel(log_mean, state.phi).copy()
-        self.phit = self._phi_terms(state.phi).copy()
+            log_odds += state.beta.T @ self.xt
+        log_odds += self.log_s
+        log_odds -= np.log(state.phi)[:, None]
+        self.log_odds = log_odds
+        self.sp = softplus(log_odds, out=np.empty(shape))
+        self.w = np.add(self.yf, state.phi[:, None], out=np.empty(shape))
+        self.w *= self.active
+        self.G = self._dispersion_sums(state.phi)
         self._phi_cut = ndtr(-state.phi / self.tau_phi)
 
     def _count(self, move: str, proposed: int, accepted: int) -> None:
@@ -350,81 +373,89 @@ class _Engine:
         self._window_prop[move] += int(proposed)
         self._window_acc[move] += int(accepted)
 
-    # -- likelihood kernels ---------------------------------------------
+    # -- the likelihood ----------------------------------------------------
 
-    def _kernel(self, log_mean, phi, y=None) -> np.ndarray:
-        """NB kernel at ``log_mean`` clipped at +-``_LOG_MEAN_CLIP``, into
-        scratch: on all cells, or on a block of them given its counts ``y``;
-        ``phi`` holds the dispersions of the block's features."""
-        y = self.yf if y is None else y
-        shape = log_mean.shape
-        loglam = np.clip(
-            log_mean, -_LOG_MEAN_CLIP, _LOG_MEAN_CLIP, out=_view(self._lm, shape)
-        )
-        # each cell's dispersion, written out once: the kernel's two sums
-        # with it then run over contiguous arrays, not a (p, 1) broadcast
-        out = _view(self._kern_new, shape)
-        out[...] = phi[:, None]
-        return nb_kernel(y, loglam, out, out=out, work=_view(self._work, shape))
-
-    def _phi_terms(self, phi) -> np.ndarray:
-        """The dispersion-only terms of the NB log mass,
-        ``lgamma(y + phi) - lgamma(phi) + phi*log(phi)``, on the (p, n) grid
-        for the dispersion vector ``phi``, into scratch. At a zero count
-        ``lgamma(y + phi) - lgamma(phi)`` is exactly 0, so ``lgamma`` is
-        evaluated on the nonzero counts only, in one call with
-        ``lgamma(phi)``."""
-        feats, nnz = self.nz_feat, self.nz_flat.size
+    def _dispersion_sums(self, phi) -> np.ndarray:
+        """Per feature, the sum of ``lgamma(y + phi) - lgamma(phi)`` over its
+        nonzero counts, at the dispersions ``phi``: the NB log mass's terms
+        in the dispersion alone, which are exactly 0 at a zero count. One
+        ``lgamma`` call on the nonzero counts and the p dispersions, through
+        the ``_sp_new`` and work scratch."""
+        feats, nnz = self.nz_feat, self.nz_feat.size
         size = nnz + self.p
-        arg = self._lm_new[:size]
+        arg = self._work1[:size]
         np.take(phi, feats, out=arg[:nnz], mode="clip")
         arg[:nnz] += self.nz_y
         arg[nnz:] = phi
-        lg = lgamma(arg, out=self._lm[:size], work=self._work[:size])
+        lg = lgamma(arg, out=self._sp_new[:size], work=self._work2[:size])
         nz = lg[:nnz]
         nz -= np.take(lg[nnz:], feats, out=arg[:nnz], mode="clip")
-        plogp = phi * np.log(phi)
-        nz += np.take(plogp, feats, out=arg[:nnz], mode="clip")
-        out = _view(self._phit_new, (self.p, self.n))
-        out[...] = plogp[:, None]
-        out.reshape(-1)[self.nz_flat] = nz
-        return out
+        return np.bincount(feats, weights=nz, minlength=self.p)
 
-    def _llr(self, kern, feats=None, span=slice(None)) -> np.ndarray:
-        """Per-feature sum of the proposal's ``kern`` minus the cached kernel
-        over the cells not flagged as extra zeros, on the samples ``span``:
-        of every feature, or of the features ``feats`` (their whole rows
-        gathered, then cut to ``span``)."""
+    def _ratio(self, proposal, feats=None, span=slice(None), phi=None):
+        """Per-feature log likelihood ratio of a move's proposal, on the
+        samples ``span`` of every feature, or of the features ``feats``.
+        ``proposal()`` writes the proposal's log odds on those cells into
+        ``_lm_new`` and returns them with its count term, the sum of y times
+        the change in M, which it takes from the count sums. For the
+        dispersion move ``phi`` is the pair (current, proposed) of
+        dispersion vectors, whose change also moves the weights and the
+        dispersion sums.
+
+        Zero, without a call to ``proposal``, in a prior-only chain, which
+        keeps no likelihood; ``_commit`` copies nothing there either."""
+        if self.prior_only:
+            return np.zeros(self.p if feats is None else len(feats))
+        log_odds, count = proposal()
+        if phi is not None:
+            self._G_new = self._dispersion_sums(phi[1])
+            count = count + (self._G_new - self.G)
+        shape = log_odds.shape
+        sp = softplus(log_odds, out=_view(self._sp_new, shape))
         if feats is None:
-            cached, active = self.kern[:, span], self.active[:, span]
-            d = np.subtract(kern, cached, out=_view(self._work, kern.shape))
+            d = np.subtract(sp, self.sp[:, span], out=_view(self._work1, shape))
+            w = self.w[:, span]
         else:
-            d = _take(self.kern, feats, self._lm, axis=0)[:, span]
-            np.subtract(kern, d, out=d)
-            active = _take(self.active, feats, self._work, axis=0)[:, span]
-        return np.einsum("ij,ij->i", d, active)
+            d = _take(self.sp, feats, self._work1, axis=0)[:, span]
+            np.subtract(sp, d, out=d)
+            w = _take(self.w, feats, self._work2, axis=0)[:, span]
+        llr = count - np.einsum("ij,ij->i", w, d)
+        if phi is not None:
+            # the weights' change, active*(phi' - phi), at the new softplus
+            llr -= (phi[1] - phi[0]) * np.einsum("ij,ij->i", self.active, sp)
+        self._proposal = (log_odds, sp)
+        return llr
 
-    def _commit(self, rows, pairs, feats=None) -> None:
-        """Copy the rows ``rows`` of a proposal's blocks into the cache, at
-        the features ``feats[rows]`` (``rows`` when a block has every
-        feature). ``pairs`` holds (target, block) pairs: a cache array or
-        its slice of samples, and the contiguous block to copy into it. The
-        rows go through the ``_lm`` and ``_work`` scratch, which the move no
-        longer needs."""
-        if rows.size == 0:
+    def _commit(self, rows, feats=None, span=slice(None), phi=None) -> None:
+        """Copy the rows ``rows`` of the last ``_ratio``'s proposal into the
+        cache, at the features ``feats[rows]`` (``rows`` when the proposal
+        had every feature) and the samples ``span``; for the dispersion
+        move, with ``phi`` its proposed dispersions, also their weights and
+        dispersion sums. The rows go through the work scratch, which the
+        move no longer needs. Nothing in a prior-only chain."""
+        if self.prior_only or rows.size == 0:
             return
         dest = rows if feats is None else feats[rows]
-        for (target, block), buf in zip(pairs, (self._lm, self._work)):
-            target[dest] = _take(block, rows, buf, axis=0)
+        for target, block, buf in zip(
+            (self.log_odds, self.sp), self._proposal, (self._work1, self._work2)
+        ):
+            target[dest, span] = _take(block, rows, buf, axis=0)
+        if phi is not None:
+            self.G[dest] = self._G_new[dest]
+            w = _take(self.yf, dest, self._work1, axis=0)
+            w += phi[dest, None]
+            w *= _take(self.active, dest, self._work2, axis=0)
+            self.w[dest] = w
 
     def log_posterior(self, state: ModelState) -> float:
         """Full log posterior up to an additive constant (diagnostics)."""
         hp = self.hp
         if self.prior_only:
             self.attach(state)  # prior-only moves leave the cache stale
-        t = np.add(self.kern, self.phit, out=_view(self._work, self.kern.shape))
-        t *= self.active
-        ll = float(t.sum()) - self.log_y_fact
+        ll = (
+            float(np.vdot(self.yf, self.log_odds)) - float(np.vdot(self.w, self.sp))
+            + float(self.G.sum()) - self.log_y_fact
+        )
         lp = float(np.sum(log_normal_density(state.mu0, hp.sigma0_sq)))
         act = state.gamma == 1
         for k in self.nonref:
@@ -462,7 +493,7 @@ class _Engine:
         phi = np.full(p, 10.0)
         r = np.zeros((n, p), dtype=np.int8)
         u = rng.random(self.zero_in.size)
-        np.put(r, self.zero_in, u < 0.5)
+        np.put(r, self.zero_in, u[self.zero_draw] < 0.5)
         state = ModelState(r=r, mu0=mu0, mu=mu, beta=beta, gamma=gamma, delta=delta, phi=phi)
         self.attach(state)
         return state
@@ -470,23 +501,25 @@ class _Engine:
     # -- step 1: extra-zero indicators ------------------------------------
 
     def step_r(self, state: ModelState, rng: np.random.Generator) -> None:
-        m = self.zero_flat.size
+        m = self.zero_cells.size
         if m == 0:
             return
         hp = self.hp
+        phi = _take(state.phi, self.zero_feat, self._lm_new)
         if self.prior_only:
             p1 = hp.a_pi / (hp.a_pi + hp.b_pi)
         else:
-            loglam0 = _take(self.log_mean, self.zero_flat, self._lm)
-            np.clip(loglam0, -_LOG_MEAN_CLIP, _LOG_MEAN_CLIP, out=loglam0)
             p1 = zero_indicator_prob(
-                loglam0, _take(state.phi, self.zero_feat, self._phit_new),
-                hp.a_pi, hp.b_pi, out=self._kern_new[:m], work=self._work[:m],
+                _take(self.sp, self.zero_cells, self._sp_new), phi, hp.a_pi, hp.b_pi,
+                out=self._sp_new[:m],
             )
-        u = rng.random(m, out=self._lm_new[:m])  # the step's only draw
+        # the step's only draw, in the input's row-major order
+        u = _take(rng.random(m, out=self._work1[:m]), self.zero_draw, self._work2)
         rnew = u < p1
         np.put(state.r, self.zero_in, rnew)
-        self.active.reshape(-1)[self.zero_flat] = np.subtract(1.0, rnew, out=self._work[:m])
+        active = np.subtract(1.0, rnew, out=self._work1[:m])
+        self.active.reshape(-1)[self.zero_cells] = active
+        self.w.reshape(-1)[self.zero_cells] = np.multiply(active, phi, out=active)
         self._count("r", m, int(rnew.sum()))
 
     # -- step 2: feature baselines ----------------------------------------
@@ -495,22 +528,19 @@ class _Engine:
         p = self.p
         prop = state.mu0 + self.tau_mu0 * rng.standard_normal(p)
         log_u = np.log(rng.random(p))
-        if self.prior_only:
-            llr = 0.0
-        else:
-            log_mean = np.add(
-                self.log_mean, (prop - state.mu0)[:, None],
-                out=_view(self._lm_new, self.log_mean.shape),
+
+        def proposal():
+            shift = prop - state.mu0
+            log_odds = np.add(
+                self.log_odds, shift[:, None], out=_view(self._lm_new, self.log_odds.shape)
             )
-            kern = self._kernel(log_mean, state.phi)
-            llr = self._llr(kern)
+            return log_odds, shift * self.y_tot
+
+        llr = self._ratio(proposal)
         lpr = (np.square(state.mu0) - np.square(prop)) / (2.0 * self.hp.sigma0_sq)
         accept = log_u < llr + lpr
         state.mu0[accept] = prop[accept]
-        if not self.prior_only:
-            self._commit(
-                np.flatnonzero(accept), ((self.log_mean, log_mean), (self.kern, kern))
-            )
+        self._commit(np.flatnonzero(accept))
         self._count("mu0", p, int(accept.sum()))
 
     # -- step 3: discrimination indicators and group shifts ----------------
@@ -528,25 +558,26 @@ class _Engine:
         log_u = np.log(rng.random(p))
 
         on = state.gamma.astype(bool)
-        if self.prior_only:
-            llr = np.zeros(p)
-        else:
+        mu_cur = state.mu[nonref, :]
+        span = self.nonref_span
+
+        def proposal():
             # shift change of each flip: to zero when on, to prop when off;
             # the reference group's samples do not change
-            span = self.nonref_span
-            log_mean = _view(self._lm_new, (p, span.stop - span.start))
+            shift = np.where(on, -mu_cur, prop)
+            log_odds = _view(self._lm_new, (p, span.stop - span.start))
             for i, k in enumerate(nonref):
                 g = self.group_span[k]
                 np.add(
-                    self.log_mean[:, g], np.where(on, -state.mu[k], prop[i])[:, None],
-                    out=log_mean[:, g.start - span.start:g.stop - span.start],
+                    self.log_odds[:, g], shift[i][:, None],
+                    out=log_odds[:, g.start - span.start:g.stop - span.start],
                 )
-            kern = self._kernel(log_mean, state.phi, self.yf[:, span])
-            llr = self._llr(kern, span=span)
+            return log_odds, np.einsum("kj,kj->j", shift, self.y_group[nonref])
+
+        llr = self._ratio(proposal, span=span)
 
         t_prop = log_t_density(prop, self.t_df, self.t_scale_sq).sum(axis=0)
         q_prop = log_normal_density(prop, self.tau_mu**2).sum(axis=0)
-        mu_cur = state.mu[nonref, :] if nr else np.zeros((0, p))
         t_cur = log_t_density(mu_cur, self.t_df, self.t_scale_sq).sum(axis=0)
         q_cur = log_normal_density(mu_cur, self.tau_mu**2).sum(axis=0)
         # the proposal terms of each feature's flip: q - t of its current
@@ -562,10 +593,7 @@ class _Engine:
         acc_add = int(added.sum())
         self._count("gamma_add", p - n_on, acc_add)
         self._count("gamma_delete", n_on, cols.size - acc_add)
-        if not self.prior_only:
-            self._commit(
-                cols, ((self.log_mean[:, span], log_mean), (self.kern[:, span], kern))
-            )
+        self._commit(cols, span=span)
 
     def _gamma_scan(self, perm, gamma, llr, log_u, plus, minus) -> np.ndarray:
         """The discrimination add-delete decisions, feature by feature in
@@ -598,32 +626,25 @@ class _Engine:
                 continue
             cur = state.mu[k, act]
             prp = cur + step
-            if self.prior_only:
-                llr_w = 0.0
-            else:
+            g = self.group_span[k]
+
+            def proposal():
                 # whole rows gathered, the group's samples then cut from
-                # them: numpy's take would copy a sliced source whole first.
-                # The kernel's output buffer holds the gathered log means
-                # until the proposal is made from them.
-                g = self.group_span[k]
-                lm_rows = _take(self.log_mean, act, self._kern_new, axis=0)
-                log_mean = np.add(
-                    lm_rows[:, g], step[:, None],
+                # them: numpy's take would copy a sliced source whole first
+                rows = _take(self.log_odds, act, self._work1, axis=0)
+                log_odds = np.add(
+                    rows[:, g], step[:, None],
                     out=_view(self._lm_new, (act.size, g.stop - g.start)),
                 )
-                y = _take(self.yf, act, self._phit_new, axis=0)[:, g]
-                kern = self._kernel(log_mean, state.phi[act], y)
-                llr_w = self._llr(kern, act, g)
+                return log_odds, step * self.y_group[k, act]
+
+            llr_w = self._ratio(proposal, act, g)
             lpr = log_t_density(prp, self.t_df, self.t_scale_sq) - log_t_density(
                 cur, self.t_df, self.t_scale_sq
             )
             accept = log_uu < llr_w + lpr
             state.mu[k, act[accept]] = prp[accept]
-            if not self.prior_only:
-                self._commit(
-                    np.flatnonzero(accept),
-                    ((self.log_mean[:, g], log_mean), (self.kern[:, g], kern)), act,
-                )
+            self._commit(np.flatnonzero(accept), act, g)
             self._count("mu_within", act.size, int(accept.sum()))
 
     # -- step 4: covariate indicators and effects --------------------------
@@ -645,14 +666,14 @@ class _Engine:
         old_b = state.beta[pick, cols]
         new_b = np.where(cur_on, 0.0, prop)
 
-        if self.prior_only:
-            llr = np.zeros(p)
-        else:
-            log_mean = _take(self.xt, pick, self._lm_new, axis=0)
-            log_mean *= (new_b - old_b)[:, None]
-            log_mean += self.log_mean
-            kern = self._kernel(log_mean, state.phi)
-            llr = self._llr(kern)
+        def proposal():
+            shift = new_b - old_b
+            log_odds = _take(self.xt, pick, self._lm_new, axis=0)
+            log_odds *= shift[:, None]
+            log_odds += self.log_odds
+            return log_odds, shift * self.y_x[pick, cols]
+
+        llr = self._ratio(proposal)
 
         s_delta = state.delta.sum(axis=0).astype(np.float64)
         lr = np.empty(p)
@@ -673,11 +694,9 @@ class _Engine:
         )
         accept = log_u < lr
         jacc = np.flatnonzero(accept)
-        if jacc.size:
-            state.delta[pick[jacc], jacc] = ~cur_on[jacc]
-            state.beta[pick[jacc], jacc] = new_b[jacc]
-            if not self.prior_only:
-                self._commit(jacc, ((self.log_mean, log_mean), (self.kern, kern)))
+        state.delta[pick[jacc], jacc] = ~cur_on[jacc]
+        state.beta[pick[jacc], jacc] = new_b[jacc]
+        self._commit(jacc)
         self._count("delta_add", int(add.sum()), int((accept & add).sum()))
         self._count("delta_delete", int(cur_on.sum()), int((accept & cur_on).sum()))
 
@@ -692,27 +711,21 @@ class _Engine:
                 continue
             cur = state.beta[r_idx, act]
             prp = cur + step
-            if self.prior_only:
-                llr_w = 0.0
-            else:
-                log_mean = _take(self.log_mean, act, self._lm_new, axis=0)
-                log_mean += np.einsum(  # the outer product step x covariate
-                    "i,j->ij", step, self.xt[r_idx], out=_view(self._work, log_mean.shape)
+
+            def proposal():
+                log_odds = _take(self.log_odds, act, self._lm_new, axis=0)
+                log_odds += np.einsum(  # the outer product step x covariate
+                    "i,j->ij", step, self.xt[r_idx], out=_view(self._work1, log_odds.shape)
                 )
-                y = _take(self.yf, act, self._phit_new, axis=0)
-                kern = self._kernel(log_mean, state.phi[act], y)
-                llr_w = self._llr(kern, act)
+                return log_odds, step * self.y_x[r_idx, act]
+
+            llr_w = self._ratio(proposal, act)
             lpr = log_t_density(prp, self.t_df, self.t_scale_sq) - log_t_density(
                 cur, self.t_df, self.t_scale_sq
             )
             accept = log_uu < llr_w + lpr
-            if np.any(accept):
-                state.beta[r_idx, act[accept]] = prp[accept]
-                if not self.prior_only:
-                    self._commit(
-                        np.flatnonzero(accept),
-                        ((self.log_mean, log_mean), (self.kern, kern)), act,
-                    )
+            state.beta[r_idx, act[accept]] = prp[accept]
+            self._commit(np.flatnonzero(accept), act)
             self._count("beta_within", act.size, int(accept.sum()))
 
     # -- step 5: dispersions ------------------------------------------------
@@ -727,24 +740,22 @@ class _Engine:
         prop, log_mass = _phi_proposal(state.phi, tau, u01, self._phi_cut)
         valid = np.isfinite(prop) & (prop > 0)
         prop_safe = np.where(valid, prop, state.phi)
-        if self.prior_only:
-            llr = 0.0
-        else:
-            kern = self._kernel(self.log_mean, prop_safe)
-            phit = self._phi_terms(prop_safe)
-            d = np.add(kern, phit, out=_view(self._work, kern.shape))
-            d -= np.add(self.kern, self.phit, out=_view(self._lm, kern.shape))
-            llr = np.einsum("ij,ij->i", d, self.active)
-        lpr = (hp.a_phi - 1.0) * (np.log(prop_safe) - np.log(state.phi)) - hp.b_phi * (
-            prop_safe - state.phi
-        )
+        dlog = np.log(prop_safe) - np.log(state.phi)
+
+        def proposal():
+            log_odds = np.subtract(
+                self.log_odds, dlog[:, None], out=_view(self._lm_new, self.log_odds.shape)
+            )
+            return log_odds, -dlog * self.y_tot
+
+        llr = self._ratio(proposal, phi=(state.phi, prop_safe))
+        lpr = (hp.a_phi - 1.0) * dlog - hp.b_phi * (prop_safe - state.phi)
         cut = ndtr(-prop_safe / tau)
         corr = log_mass - np.log1p(-cut)
         accept = valid & (log_u < llr + lpr + corr)
         state.phi[accept] = prop[accept]
         self._phi_cut[accept] = cut[accept]
-        if not self.prior_only:
-            self._commit(np.flatnonzero(accept), ((self.kern, kern), (self.phit, phit)))
+        self._commit(np.flatnonzero(accept), phi=prop_safe)
         self._count("phi", p, int(accept.sum()))
 
     # -- one sweep ------------------------------------------------------------
@@ -777,6 +788,8 @@ class _Engine:
         self._phi_cut = None  # tau_phi may have changed
 
 
+
+
 def _phi_proposal(phi, tau, u, cut=None):
     """Inverse-CDF draws of N(phi, tau^2) truncated to (0, inf) at uniforms
     ``u`` in [0, 1), and the log mass ``log P(N(phi, tau^2) > 0)``;
@@ -793,21 +806,20 @@ def _phi_proposal(phi, tau, u, cut=None):
     return prop, np.log1p(-cut)
 
 
-def zero_indicator_prob(loglam, phi, a_pi: float, b_pi: float, out=None, work=None):
-    """Conditional probability that an observed zero with log mean
-    ``loglam`` and dispersion ``phi`` is an extra zero.
+def zero_indicator_prob(sp, phi, a_pi: float, b_pi: float, out=None):
+    """Conditional probability that an observed zero is an extra zero, at
+    its cell's softplus ``sp = softplus(log(lam/phi))`` and dispersion
+    ``phi``.
 
     The two unnormalized weights are the Beta-function ratios of the
     collapsed per-entry prior, the r=0 one additionally carrying the NB
-    mass at zero. ``out`` and ``work`` are as in ``nb_kernel``.
+    mass at zero, ``exp(-phi*sp)``. The result is written into ``out`` when
+    given, which may be ``sp`` itself.
     """
-    loglam = np.asarray(loglam, dtype=np.float64)
-    phi = np.asarray(phi, dtype=np.float64)
-    out = nb_kernel(0.0, loglam, phi, out=out, work=work)
-    # at y=0 the dispersion-only terms reduce to phi*log(phi)
-    plogp = np.log(phi, out=work) if work is not None else np.log(phi)
-    plogp *= phi
-    out += plogp
+    if out is None:
+        out = np.empty(np.broadcast(sp, phi).shape)
+    np.multiply(phi, sp, out=out)
+    np.negative(out, out=out)
     np.exp(out, out=out)
     out *= b_pi
     out += a_pi

@@ -4,8 +4,8 @@ Everything here is written as directly as possible (explicit sorts,
 loops, quadrature, pairwise enumeration) and stays independent of the
 library code paths it checks. The exceptions are ``nb_phi_terms``,
 ``nb_log_pmf`` and ``zinb_log_pmf``: full NB and ZINB masses assembled
-from the package's kernel and ``lgamma``, which the tests hold against the
-direct forms here and scipy's.
+from ``nb_kernel`` and the package's ``lgamma``, which the tests hold
+against the direct forms here and scipy's.
 """
 
 import math
@@ -16,7 +16,6 @@ from scipy import integrate, stats
 from scipy.special import betaln, gammaln
 
 from zinbreg.errors import DataError, DomainError
-from zinbreg.likelihood import nb_kernel
 from zinbreg.special import lgamma
 
 
@@ -184,6 +183,16 @@ def nb_pmf_direct(y, lam, phi):
     )
 
 
+def nb_kernel(y, loglam, phi):
+    """Mean-dependent part of the NB log mass at count ``y``, log mean
+    ``loglam`` and dispersion ``phi`` (broadcastable arrays),
+    ``y*log(lam) - (y + phi)*log(lam + phi)``, with ``log(lam + phi)``
+    computed as ``log(exp(loglam) + phi)``: finite for log means up to
+    ~709, where ``exp`` overflows."""
+    log_sum = np.log(np.exp(loglam) + phi)
+    return y * loglam - (y + phi) * log_sum
+
+
 def nb_phi_terms(y, phi):
     """Part of the NB log mass that depends on the dispersion alone, by the
     package's ``lgamma``, on the full grid."""
@@ -192,8 +201,8 @@ def nb_phi_terms(y, phi):
 
 def nb_log_pmf(y, lam, phi):
     """Log mass of the negative binomial with mean ``lam`` and dispersion
-    ``1/phi`` at count ``y``, assembled from the package's kernel and
-    ``lgamma``; the tests check it against ``nb_pmf_direct`` and scipy.
+    ``1/phi`` at count ``y``, assembled from ``nb_kernel`` and the
+    package's ``lgamma``; the tests check it against ``nb_pmf_direct`` and scipy.
 
     Accepts scalars or broadcastable arrays; raises ``DomainError`` when
     ``lam`` or ``phi`` is not strictly positive or ``y`` is not a

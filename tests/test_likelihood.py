@@ -20,7 +20,7 @@ from _oracles import (
 )
 from zinbreg.data import CovariateMatrix, GroupAssignment, Hyperparameters
 from zinbreg.errors import DomainError
-from zinbreg.likelihood import log_t_density, nb_kernel
+from zinbreg.likelihood import log_t_density, softplus
 from zinbreg.normalization import SizeFactors
 
 
@@ -54,12 +54,43 @@ def test_nb_kernel_matches_log_space_form():
     phi = np.geomspace(1e-3, 1e4, 71)[None, :, None]
     y = np.array([0.0, 1.0, 10.0, 1e6, 1e9])[None, None, :]
     with np.errstate(all="raise"):
-        got = nb_kernel(y, loglam, phi)
+        got = oracle.nb_kernel(y, loglam, phi)
     want = oracle.nb_kernel_logaddexp(y, loglam, phi)
     log_sum = np.logaddexp(loglam, np.log(phi))
     scale = np.abs(y * loglam) + (y + phi) * (np.abs(log_sum) + 1.0)
     assert np.all(np.isfinite(got))
     assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+
+
+def test_softplus_matches_log_space_form_and_holds_at_the_clip():
+    # exp(m) and log1p each round once; log1p(x) >= x/(1 + x), so the
+    # rounding of exp moves the result by at most eps times itself
+    m = np.linspace(-740.0, 700.0, 14401)
+    with np.errstate(over="raise"):
+        got = softplus(m)
+        held = softplus(np.array([700.0, 709.0, 1e4, 1e300]))
+    want = np.logaddexp(0.0, m)
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want)
+    # past the clip the softplus stays at its value there; below it exp
+    # underflows and the softplus is exactly 0
+    assert np.all(held == softplus(np.array([700.0])))
+    assert softplus(np.array([-800.0, -1e300]))[0] == 0.0
+    out = m.copy()
+    assert softplus(out, out=out) is out
+    np.testing.assert_array_equal(out, got)
+
+
+def test_log_odds_form_equals_the_log_mean_kernel():
+    # y*M - (y + phi)*softplus(M) at M = log(lam/phi) is the kernel plus
+    # phi*log(phi)
+    loglam = np.linspace(-30.0, 30.0, 121)[:, None, None]
+    phi = np.geomspace(1e-2, 1e3, 31)[None, :, None]
+    y = np.array([0.0, 1.0, 7.0, 1e4])[None, None, :]
+    m = loglam - np.log(phi)
+    got = y * m - (y + phi) * softplus(m)
+    want = oracle.nb_kernel(y, loglam, phi) + phi * np.log(phi)
+    scale = np.abs(y * loglam) + (y + phi) * (np.abs(m) + np.abs(np.log(phi)) + 1.0)
+    assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * scale)
 
 
 def test_nb_log_pmf_variance_matches_dispersion():

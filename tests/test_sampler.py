@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from zinbreg.sampler import (
     ChainConfig,
     ModelState,
     _Engine,
+    _phi_proposal,
     chain_pool,
     run_chain,
     run_chains_parallel,
@@ -87,18 +89,18 @@ def test_zero_indicator_prob_matches_enumeration_oracle():
         phi = float(rng.uniform(0.1, 20))
         a_pi = float(rng.uniform(0.2, 3))
         b_pi = float(rng.uniform(0.2, 3))
-        assert zero_indicator_prob(np.log(lam), phi, a_pi, b_pi) == pytest.approx(
+        assert zero_indicator_prob(np.log1p(lam / phi), phi, a_pi, b_pi) == pytest.approx(
             oracle.zero_indicator_prob(lam, phi, a_pi, b_pi), rel=1e-12
         )
 
 
 def test_zero_indicator_prob_unit_case_two_thirds():
     # a_pi=b_pi=1, phi=1, s*alpha=1: NB(0)=1/2, so P(r=1) = 1/(1+1/2) = 2/3
-    assert zero_indicator_prob(0.0, 1.0, 1.0, 1.0) == pytest.approx(2.0 / 3.0)
+    assert zero_indicator_prob(np.log1p(1.0), 1.0, 1.0, 1.0) == pytest.approx(2.0 / 3.0)
 
 
 def test_zero_indicator_prob_saturates_at_one():
-    assert zero_indicator_prob(np.log(1e12), 1.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-6)
+    assert zero_indicator_prob(np.log1p(1e12), 1.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-6)
 
 
 def _all_zero_column_dataset(n=30):
@@ -141,6 +143,28 @@ def test_step_r_empirical_two_thirds():
 def test_step_r_prior_only_matches_beta_mean():
     hp = Hyperparameters(a_pi=2.0, b_pi=6.0)
     assert _step_r_rate(hp, 12, prior_only=True) == pytest.approx(0.25, abs=0.01)
+
+
+def test_step_r_gives_each_zero_cell_its_uniform_in_input_order():
+    # the step visits the zero cells in the engine's order (samples sorted
+    # by group, here interleaved in the input) and draws each cell's
+    # indicator with the uniform of its place in the input's row-major
+    # order, at the oracle's conditional probability
+    ds = _three_group_dataset(seed=73)
+    sf = estimate_css(ds.counts)
+    eng, state = _start(ds, 23, sf)
+    assert not np.array_equal(eng.order, np.arange(ds.n))
+    y = ds.counts.counts
+    z = ds.groups.zero_based()
+    lam = sf.values[:, None] * np.exp(
+        state.mu0 + state.mu[z] + ds.covariates.values @ state.beta
+    )
+    p1 = oracle.zero_indicator_prob(lam, state.phi, HP.a_pi, HP.b_pi)[y == 0]
+    rng = np.random.default_rng(24)
+    u = copy.deepcopy(rng).random(p1.size)
+    eng.step_r(state, rng)
+    np.testing.assert_array_equal(state.r[y == 0], u < p1)
+    assert 0 < int(state.r.sum()) < p1.size
 
 
 def test_state_invariants_hold_after_sweeps(tiny_dataset):
@@ -611,29 +635,28 @@ def test_sweeps_without_covariates_keep_the_cache():
 
 
 def _assert_cache_matches_fresh_attach(eng, state, ds, sf):
-    """The engine's per-cell cache after its moves agrees with one built
+    """The engine's likelihood cache after its moves agrees with one built
     afresh from ``state``."""
     fresh = _engine(ds, sf)
     fresh.attach(state)
     np.testing.assert_array_equal(eng.active, fresh.active)
-    # the log mean takes one rounding per accepted move (at most six a
-    # sweep in these tests), so after 50 sweeps it is within ~300 eps |eta|
-    # of a fresh sum, eta being the log mean less log s; the kernel moves by
-    # |dk/dlog mean| <= 2y + phi times that, plus a few eps of the
-    # magnitude of its terms. The cache is (p, n), samples in group order.
-    loglam = fresh.log_mean
-    lm_tol = 1e-12 * max(1.0, float(np.abs(loglam - fresh.log_s).max()))
-    np.testing.assert_allclose(eng.log_mean, loglam, rtol=0, atol=lm_tol)
-    y_cells, phi = eng.yf, state.phi[:, None]
-    terms = np.abs(y_cells * loglam) + (y_cells + phi) * np.abs(
-        np.logaddexp(loglam, np.log(phi))
-    )
-    kern_tol = (2.0 * y_cells + phi) * lm_tol + 1e-14 * terms
-    assert np.all(np.abs(eng.kern - fresh.kern) <= kern_tol)
-    # the phi terms are evaluated afresh on every change, never updated
-    np.testing.assert_allclose(eng.phit, fresh.phit, rtol=1e-13, atol=1e-13)
+    # the log odds take one rounding per accepted move (at most eight a
+    # sweep in these tests), so after 50 sweeps they are within ~400 eps
+    # |M - log s| of a fresh sum, M - log s being the log odds less log s;
+    # the softplus moves by its slope, below 1, times that, plus a few eps
+    # of its value. The cache is (p, n), samples in group order.
+    log_odds = fresh.log_odds
+    lm_tol = 1e-12 * max(1.0, float(np.abs(log_odds - fresh.log_s).max()))
+    np.testing.assert_allclose(eng.log_odds, log_odds, rtol=0, atol=lm_tol)
+    sp_tol = lm_tol + 1e-14 * fresh.sp
+    assert np.all(np.abs(eng.sp - fresh.sp) <= sp_tol)
+    # the weights and the dispersion sums are evaluated afresh on every
+    # change, never updated
+    np.testing.assert_array_equal(eng.w, fresh.w)
+    np.testing.assert_array_equal(eng.G, fresh.G)
+    ll_tol = float((eng.yf * lm_tol).sum() + (fresh.w * sp_tol).sum())
     assert eng.log_posterior(state) == pytest.approx(
-        fresh.log_posterior(state), rel=0, abs=1e-12 + float(kern_tol.sum())
+        fresh.log_posterior(state), rel=0, abs=1e-12 + ll_tol
     )
 
 
@@ -661,7 +684,7 @@ def test_log_posterior_prior_only_differences_match_oracle():
 def test_moves_evaluate_the_kernel_once(monkeypatch):
     from zinbreg import sampler
 
-    cells = {"kernel": 0, "lgamma": 0}
+    cells = {"softplus": 0, "lgamma": 0}
 
     def counting(name, fn):
         def wrapper(*args, **buffers):
@@ -669,25 +692,27 @@ def test_moves_evaluate_the_kernel_once(monkeypatch):
             return fn(*args, **buffers)
         return wrapper
 
-    monkeypatch.setattr(sampler, "nb_kernel", counting("kernel", sampler.nb_kernel))
+    monkeypatch.setattr(sampler, "softplus", counting("softplus", sampler.softplus))
     monkeypatch.setattr(sampler, "lgamma", counting("lgamma", sampler.lgamma))
     ds = small_dataset(seed=97)
     eng, state = _start(ds, 5)
     rng = np.random.default_rng(6)
     eng.sweep(state, rng)
     np_cells = ds.n * ds.p
-    # the dispersion terms take lgamma at the nonzero counts and once per
-    # feature; at a zero count their lgamma pair cancels exactly
+    # the dispersion sums take lgamma at the nonzero counts and once per
+    # feature; at a zero count their lgamma pair cancels exactly. The
+    # extra-zero step reads the cached softplus.
     phi_cells = int(np.count_nonzero(ds.counts.counts)) + ds.p
     assert phi_cells < np_cells
-    for name, call, kernel_cells, lgamma_cells in (
+    for name, call, softplus_cells, lgamma_cells in (
         ("log_posterior", lambda: eng.log_posterior(state), 0, 0),
+        ("step_r", lambda: eng.step_r(state, rng), 0, 0),
         ("step_mu0", lambda: eng.step_mu0(state, rng), np_cells, 0),
         ("step_phi", lambda: eng.step_phi(state, rng), np_cells, phi_cells),
     ):
-        cells.update(kernel=0, lgamma=0)
+        cells.update(softplus=0, lgamma=0)
         call()
-        assert cells == {"kernel": kernel_cells, "lgamma": lgamma_cells}, name
+        assert cells == {"softplus": softplus_cells, "lgamma": lgamma_cells}, name
 
 
 def test_phi_terms_equal_the_full_matrix_form():
@@ -695,21 +720,137 @@ def test_phi_terms_equal_the_full_matrix_form():
     y = ds.counts.counts
     assert 0 < np.count_nonzero(y == 0) < y.size
     eng = _engine(ds)
-    phi = np.random.default_rng(4).uniform(0.05, 50.0, ds.p)
-    np.testing.assert_array_equal(eng._phi_terms(phi), oracle.nb_phi_terms(eng.yf, phi[:, None]))
+    phi = np.random.default_rng(4).uniform(0.05, 50.0, ds.p)[:, None]
+    # the full grid's dispersion terms less phi*log(phi), summed per
+    # feature: each cell rounds its three terms, and the sums round once
+    # per cell
+    full = oracle.nb_phi_terms(eng.yf, phi) - phi * np.log(phi)
+    scale = (np.abs(oracle.lgamma(eng.yf + phi)) + np.abs(oracle.lgamma(phi))
+             + np.abs(phi * np.log(phi)) + np.abs(full))
+    got = eng._dispersion_sums(phi[:, 0])
+    assert np.all(
+        np.abs(got - full.sum(axis=1)) <= 8 * np.finfo(float).eps * scale.sum(axis=1)
+    )
+
+
+def _oracle_ratio(ds, sf, state, proposed):
+    """Per-feature log likelihood ratio of the parameters ``proposed``
+    against ``state``: the full-grid difference of the oracle NB log mass,
+    masked by the extra-zero indicators of ``state``."""
+    y = ds.counts.counts
+    z = ds.groups.zero_based()
+
+    def log_mass(s):
+        log_mean = (np.log(sf.values)[:, None] + s.mu0 + s.mu[z]
+                    + ds.covariates.values @ s.beta)
+        return oracle.nb_log_pmf(y, np.exp(log_mean), s.phi)
+
+    return ((1 - state.r) * (log_mass(proposed) - log_mass(state))).sum(axis=0)
+
+
+def test_move_ratios_match_the_oracle_log_mass():
+    # each move's ratio, from the cache and the count sums, against the
+    # oracle at its proposal, replayed from a copy of the generator
+    ds = _three_group_dataset(seed=72)
+    sf = estimate_css(ds.counts)
+    eng, state = _start(ds, 20, sf)
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        eng.sweep(state, rng)
+    p, R, nonref = ds.p, ds.n_covariates, eng.nonref
+    # half the discrimination and first-covariate indicators on, so that
+    # the add-delete moves propose both and the walks have features
+    draws = np.random.default_rng(22).normal(0.0, 0.5, (len(nonref) + 1, p))
+    state.gamma[:] = np.arange(p) % 2
+    state.mu[nonref] = draws[:-1] * state.gamma
+    state.delta[0] = np.arange(p) % 2
+    state.beta[0] = draws[-1] * state.delta[0]
+    eng.attach(state)
+    ratios = []
+    ratio = eng._ratio
+
+    def recording(*args, **kwargs):
+        llr = ratio(*args, **kwargs)
+        ratios.append(llr.copy())
+        return llr
+
+    eng._ratio = recording
+
+    def mu0(twin, proposed):
+        proposed.mu0 += eng.tau_mu0 * twin.standard_normal(p)
+        return slice(None)
+
+    def gamma(twin, proposed):
+        twin.permutation(p)
+        prop = eng.tau_mu * twin.standard_normal((len(nonref), p))
+        proposed.mu[nonref] = np.where(state.gamma == 1, 0.0, prop)
+        return slice(None)
+
+    def mu_walk(twin, proposed):
+        act = np.flatnonzero(state.gamma)
+        proposed.mu[nonref[0], act] += 0.5 * eng.tau_mu * twin.standard_normal(act.size)
+        return act
+
+    def delta(twin, proposed):
+        pick = twin.integers(0, R, size=p)
+        prop = eng.tau_beta * twin.standard_normal(p)
+        cols = np.arange(p)
+        proposed.beta[pick, cols] = np.where(state.delta[pick, cols] == 1, 0.0, prop)
+        return slice(None)
+
+    def beta_walk(twin, proposed):
+        act = np.flatnonzero(state.delta[0])
+        proposed.beta[0, act] += 0.5 * eng.tau_beta * twin.standard_normal(act.size)
+        return act
+
+    def phi(twin, proposed):
+        prop, _ = _phi_proposal(state.phi, eng.tau_phi, twin.random(p))
+        proposed.phi = np.where(np.isfinite(prop) & (prop > 0), prop, state.phi)
+        return slice(None)
+
+    for move, replay in (
+        (eng.step_mu0, mu0),
+        (eng._mu_within, mu_walk),
+        (eng._gamma_add_delete, gamma),
+        (eng._beta_within, beta_walk),
+        (eng._delta_add_delete, delta),
+        (eng.step_phi, phi),
+    ):
+        proposed = state.copy()
+        feats = replay(copy.deepcopy(rng), proposed)
+        want = _oracle_ratio(ds, sf, state, proposed)[feats]
+        assert np.any(np.abs(want) > 1e-3), replay.__name__
+        ratios.clear()
+        move(state, rng)
+        np.testing.assert_allclose(ratios[0], want, rtol=0, atol=1e-9, err_msg=replay.__name__)
+        _assert_cache_matches_fresh_attach(eng, state, ds, sf)
 
 
 def test_clipped_log_means_keep_the_likelihood_finite():
+    # log means of +-1e4, with size factors from exp(-15) to exp(15): the
+    # softplus is held at the clip above and underflows to 0 below, and
+    # whole sweeps stay finite, with no overflow
     ds = small_dataset(seed=83, n=12, p=6)
     sf = SizeFactors(np.exp(np.linspace(-15.0, 15.0, ds.n)), "css")
-    eng, state = _start(ds, 3, sf=sf)
-    rng = np.random.default_rng(8)
     for value in (1e4, -1e4):
-        eng.log_mean[:] = value
+        eng, state = _start(ds, 3, sf=sf)
+        state.mu0[:] = value
+        eng.attach(state)
+        ratios = []
+        ratio = eng._ratio
+
+        def recording(*args, **kwargs):
+            llr = ratio(*args, **kwargs)
+            ratios.append(llr.copy())
+            return llr
+
+        eng._ratio = recording
+        rng = np.random.default_rng(8)
         with np.errstate(over="raise"):
-            kern = eng._kernel(eng.log_mean, state.phi)
-            eng.step_r(state, rng)
-        assert np.all(np.isfinite(kern)), value
+            for _ in range(5):
+                eng.sweep(state, rng)
+                assert np.isfinite(eng.log_posterior(state)), value
+        assert ratios and all(np.all(np.isfinite(llr)) for llr in ratios), value
         oracle.check_state(state, ds.counts.counts)
 
 
@@ -749,7 +890,7 @@ def test_cache_shares_no_memory_with_the_scratch_buffers():
     rng = np.random.default_rng(15)
 
     def assert_apart():
-        for cache in (eng.log_mean, eng.kern, eng.phit, eng.active):
+        for cache in (eng.log_odds, eng.sp, eng.w, eng.active, eng.G):
             assert not np.shares_memory(cache, eng._scratch)
 
     assert_apart()
