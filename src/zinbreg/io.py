@@ -119,6 +119,15 @@ def _raise_bad_count(path, line: int, row: list[str]) -> None:
             )
 
 
+def _cell(path, line: int, column: int, text: str, parse, what: str):
+    """``parse(text)``, or a ParseError naming the cell at ``line`` and
+    ``column`` (both from 1) when it refuses the text."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ParseError(str(path), line, column, f"unparseable {what} {text!r}") from None
+
+
 def read_covariates(path) -> tuple[CovariateMatrix, tuple[str, ...]]:
     """Read a covariate table: sample_id column followed by real columns.
     Returns the matrix and its row sample ids."""
@@ -131,12 +140,7 @@ def read_covariates(path) -> tuple[CovariateMatrix, tuple[str, ...]]:
     for i, row in enumerate(body):
         sample_ids.append(row[0])
         for j, cell in enumerate(row[1:]):
-            try:
-                values[i, j] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    str(path), i + 2, j + 2, f"unparseable covariate value {cell!r}"
-                ) from None
+            values[i, j] = _cell(path, i + 2, j + 2, cell, float, "covariate value")
     return CovariateMatrix(values, covariate_ids), tuple(sample_ids)
 
 
@@ -242,11 +246,15 @@ def read_truth(path) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, np.n
         raise ParseError(str(path), 1, 1, "not a truth table")
     covariate_ids = tuple(h.removeprefix("beta_true_") for h in header[3:])
     feature_ids = tuple(row[0] for row in body)
-    gamma = np.array([int(row[1]) for row in body], dtype=np.int8)
-    mu2 = np.array([float(row[2]) for row in body])
-    beta = np.array([[float(v) for v in row[3:]] for row in body]).T
-    beta = beta.reshape(len(covariate_ids), len(feature_ids))
-    return feature_ids, covariate_ids, gamma, mu2, beta
+    gamma, mu2, beta = [], [], []
+    for line, row in enumerate(body, start=2):
+        gamma.append(_cell(path, line, 2, row[1], int, "gamma_true"))
+        mu2.append(_cell(path, line, 3, row[2], float, "mu2_true"))
+        beta.append([_cell(path, line, col, v, float, "beta_true")
+                     for col, v in enumerate(row[3:], start=4)])
+    gamma = np.array(gamma, dtype=np.int8)
+    beta = np.array(beta).T.reshape(len(covariate_ids), len(feature_ids))
+    return feature_ids, covariate_ids, gamma, np.array(mu2), beta
 
 
 def write_ppi_gamma(path, feature_ids, summary: PosteriorSummary) -> None:
@@ -277,9 +285,10 @@ def read_ppi_gamma(path) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     if header != ["feature_id", "ppi", "selected"]:
         raise ParseError(str(path), 1, 1, "not a ppi_gamma table")
     ids = tuple(row[0] for row in body)
-    ppi = np.array([float(row[1]) for row in body])
-    selected = np.array([int(row[2]) for row in body], dtype=bool)
-    return ids, ppi, selected
+    ppi = [_cell(path, line, 2, row[1], float, "ppi") for line, row in enumerate(body, start=2)]
+    selected = [_cell(path, line, 3, row[2], int, "selected flag")
+                for line, row in enumerate(body, start=2)]
+    return ids, np.array(ppi), np.array(selected, dtype=bool)
 
 
 def read_ppi_delta(path):
@@ -288,24 +297,21 @@ def read_ppi_delta(path):
     header, body = _read_table(path)
     if header != ["feature_id", "covariate_id", "ppi", "selected", "beta_mean"]:
         raise ParseError(str(path), 1, 1, "not a ppi_delta table")
-    feature_ids, covariate_ids = [], []
-    for row in body:
-        if row[0] not in feature_ids:
-            feature_ids.append(row[0])
-        if row[1] not in covariate_ids:
-            covariate_ids.append(row[1])
+    # ids in order of first appearance
+    feature_ids = tuple(dict.fromkeys(row[0] for row in body))
+    covariate_ids = tuple(dict.fromkeys(row[1] for row in body))
     p, big_r = len(feature_ids), len(covariate_ids)
     ppi = np.zeros((big_r, p))
     selected = np.zeros((big_r, p), dtype=bool)
     beta = np.zeros((big_r, p))
     fidx = {f: j for j, f in enumerate(feature_ids)}
     cidx = {c: r for r, c in enumerate(covariate_ids)}
-    for row in body:
+    for line, row in enumerate(body, start=2):
         r, j = cidx[row[1]], fidx[row[0]]
-        ppi[r, j] = float(row[2])
-        selected[r, j] = bool(int(row[3]))
-        beta[r, j] = float(row[4])
-    return tuple(feature_ids), tuple(covariate_ids), ppi, selected, beta
+        ppi[r, j] = _cell(path, line, 3, row[2], float, "ppi")
+        selected[r, j] = _cell(path, line, 4, row[3], int, "selected flag")
+        beta[r, j] = _cell(path, line, 5, row[4], float, "beta_mean")
+    return feature_ids, covariate_ids, ppi, selected, beta
 
 
 def write_posterior_summary(path, feature_ids, summary: PosteriorSummary) -> None:

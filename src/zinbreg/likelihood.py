@@ -20,13 +20,15 @@ the three parts apart:
   counts, and ``lgamma(y + 1)`` depends on the data only.
 
 ``softplus`` holds ``M`` at 700 from above before its ``exp``, which would
-overflow past ~709.8, so every term stays finite. Past the clip the
-softplus stays at 700 while ``y*M`` keeps growing, so there the log mass
-is not the NB's: it rises with ``M`` at ``y > 0``. It needs no lower clip:
+overflow past ~709.8, and then takes the larger of its result and ``M``
+itself. Since ``softplus(M) - M = log1p(exp(-M))`` rounds to 0 above
+about 37, that is the softplus for every ``M``, so past the clip the log
+mass still falls with ``M``, as the NB's does, where a softplus held at
+700 would let ``y*M`` outgrow it. Below the clip the max changes no bit
+(on a grid of 2e6 points over [-800, 700]). It needs no lower clip:
 below about -745 ``exp`` underflows to 0 and ``log1p(0)`` is exactly 0,
-the softplus's limit. The NB
-has mean ``lam`` and variance ``lam + lam**2 / phi``; large ``phi``
-recovers the Poisson.
+the softplus's limit. The NB has mean ``lam`` and variance
+``lam + lam**2 / phi``; large ``phi`` recovers the Poisson.
 
 The slab priors on group shifts and covariate effects are the
 marginalized scaled-t densities ``t_{2a}(0, b/a)`` obtained by
@@ -50,13 +52,13 @@ _LOG_ODDS_CLIP = 700.0
 
 
 def softplus(m, out=None):
-    """``log(1 + exp(m))`` at the log odds ``m``, held at ``m = 700`` from
-    above, into ``out`` (a float64 array of ``m``'s shape, which may be
-    ``m`` itself) when given. Three passes: the clip, ``exp`` and
-    ``log1p``."""
+    """``log(1 + exp(m))`` at the log odds ``m``, into ``out`` (a float64
+    array of ``m``'s shape, not ``m`` itself) when given. Four passes: the
+    clip at 700, ``exp``, ``log1p`` and the max with the unclipped ``m``."""
     out = np.minimum(m, _LOG_ODDS_CLIP, out=out)
     np.exp(out, out=out)
-    return np.log1p(out, out=out)
+    np.log1p(out, out=out)
+    return np.maximum(out, m, out=out)
 
 
 def log_normal_density(x, var):

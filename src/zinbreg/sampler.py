@@ -84,13 +84,11 @@ Tests drive ``_Engine`` directly, one step at a time.
 The special functions come from the package's own ``special.py``: the
 vectorized ``lgamma`` for the dispersion sums and ``sum lgamma(y + 1)``,
 ``betaln`` (through ``math.lgamma``) for the collapsed indicator priors,
-and the normal CDF ``ndtr`` and quantile ``ndtri`` for the dispersion
-proposal; ``ndtr(-phi/tau)`` of the current dispersions is kept between
-sweeps, as the proposal's value is computed anyway. That proposal is
-drawn in the complementary form
-``phi - tau*ndtri((1 - u)*P(N(phi, tau^2) > 0))``, which keeps its
-precision as the uniform ``u`` nears 1, where the argument of
-``ndtri(cdf_lo + u*(1 - cdf_lo))`` rounds near 1 (``_phi_proposal``).
+and the normal CDF ``ndtr`` for the dispersion proposal's truncation
+correction. That proposal, a normal walk truncated to ``phi > 0``, is
+drawn by rejection (``_truncated_walk``): the entries at or below 0 are
+drawn again until none is left. The bound lies below the mean ``phi``, so
+each draw is kept with probability at least 1/2.
 """
 
 from __future__ import annotations
@@ -107,7 +105,7 @@ from .data import Dataset, Hyperparameters, ProposalScales
 from .errors import EmptyTrace, NumericalFailure, UsageError
 from .likelihood import log_normal_density, log_t_density, softplus
 from .normalization import SizeFactors, estimate_css
-from .special import betaln, lgamma, ndtr, ndtri
+from .special import betaln, lgamma, ndtr
 
 __all__ = [
     "ChainConfig",
@@ -330,9 +328,6 @@ class _Engine:
         self.w: np.ndarray | None = None         # active*(y + phi)
         # and per feature: sum of lgamma(y + phi) - lgamma(phi), y > 0
         self.G: np.ndarray | None = None
-        # ndtr(-phi/tau_phi) at the current dispersions; None after the
-        # scale changes
-        self._phi_cut: np.ndarray | None = None
         # scratch: four flat buffers of (n + 1) p elements, room for the n p
         # cells and for the dispersion sums' lgamma arguments (one per
         # nonzero cell and one per feature)
@@ -365,7 +360,6 @@ class _Engine:
         self.w = np.add(self.yf, state.phi[:, None], out=np.empty(shape))
         self.w *= self.active
         self.G = self._dispersion_sums(state.phi)
-        self._phi_cut = ndtr(-state.phi / self.tau_phi)
 
     def _count(self, move: str, proposed: int, accepted: int) -> None:
         self.proposal_counts[move] += int(proposed)
@@ -733,14 +727,9 @@ class _Engine:
     def step_phi(self, state: ModelState, rng: np.random.Generator) -> None:
         p, hp = self.p, self.hp
         tau = self.tau_phi
-        u01 = rng.random(p)
         log_u = np.log(rng.random(p))
-        if self._phi_cut is None:
-            self._phi_cut = ndtr(-state.phi / tau)
-        prop, log_mass = _phi_proposal(state.phi, tau, u01, self._phi_cut)
-        valid = np.isfinite(prop) & (prop > 0)
-        prop_safe = np.where(valid, prop, state.phi)
-        dlog = np.log(prop_safe) - np.log(state.phi)
+        prop = _truncated_walk(state.phi, tau, rng)
+        dlog = np.log(prop) - np.log(state.phi)
 
         def proposal():
             log_odds = np.subtract(
@@ -748,14 +737,14 @@ class _Engine:
             )
             return log_odds, -dlog * self.y_tot
 
-        llr = self._ratio(proposal, phi=(state.phi, prop_safe))
-        lpr = (hp.a_phi - 1.0) * dlog - hp.b_phi * (prop_safe - state.phi)
-        cut = ndtr(-prop_safe / tau)
-        corr = log_mass - np.log1p(-cut)
-        accept = valid & (log_u < llr + lpr + corr)
+        llr = self._ratio(proposal, phi=(state.phi, prop))
+        lpr = (hp.a_phi - 1.0) * dlog - hp.b_phi * (prop - state.phi)
+        # the truncation correction log P(N(phi, tau^2) > 0) - the same at
+        # prop, each as log1p(-ndtr(-x/tau)), which keeps the far tail
+        log_mass = np.log1p(-ndtr(np.concatenate((state.phi, prop)) / -tau))
+        accept = log_u < llr + lpr + log_mass[:p] - log_mass[p:]
         state.phi[accept] = prop[accept]
-        self._phi_cut[accept] = cut[accept]
-        self._commit(np.flatnonzero(accept), phi=prop_safe)
+        self._commit(np.flatnonzero(accept), phi=prop)
         self._count("phi", p, int(accept.sum()))
 
     # -- one sweep ------------------------------------------------------------
@@ -785,25 +774,18 @@ class _Engine:
         for m in _MOVES:
             self._window_prop[m] = 0
             self._window_acc[m] = 0
-        self._phi_cut = None  # tau_phi may have changed
 
 
-
-
-def _phi_proposal(phi, tau, u, cut=None):
-    """Inverse-CDF draws of N(phi, tau^2) truncated to (0, inf) at uniforms
-    ``u`` in [0, 1), and the log mass ``log P(N(phi, tau^2) > 0)``;
-    ``cut`` is ``ndtr(-phi/tau)`` when the caller has it.
-
-    The draw is ``phi - tau*ndtri((1 - u)*P)`` with ``P`` that mass: as u
-    nears 1 the product keeps its relative precision, where the direct
-    form ``ndtri(cdf_lo + u*(1 - cdf_lo))`` rounds its argument to a
-    multiple of 2**-53 near 1 and so coarsens the upper tail of the draws.
-    """
-    if cut is None:
-        cut = ndtr(-phi / tau)
-    prop = phi - tau * ndtri((1.0 - u) * (1.0 - cut))
-    return prop, np.log1p(-cut)
+def _truncated_walk(phi, tau, rng):
+    """Draws of N(phi, tau^2) truncated to (0, inf), ``phi > 0``: one
+    standard normal per entry from ``rng``, then, in rounds, one more for
+    each entry still at or below 0 (in index order) until none is left."""
+    prop = phi + tau * rng.standard_normal(phi.size)
+    low = np.flatnonzero(prop <= 0.0)
+    while low.size:
+        prop[low] = phi[low] + tau * rng.standard_normal(low.size)
+        low = low[prop[low] <= 0.0]
+    return prop
 
 
 def zero_indicator_prob(sp, phi, a_pi: float, b_pi: float, out=None):

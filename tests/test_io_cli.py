@@ -345,6 +345,36 @@ def test_simulate_then_fit_then_evaluate(tmp_path):
     assert len(text) == 2
 
 
+_EVAL_TABLES = {
+    "ppi_gamma.csv": ["feature_id,ppi,selected", "f0,0.5,1", "f1,0.1,0"],
+    "ppi_delta.csv": [
+        "feature_id,covariate_id,ppi,selected,beta_mean",
+        "f0,c0,0.5,1,0.3", "f1,c0,0.1,0,0",
+    ],
+    "truth.csv": ["feature_id,gamma_true,mu2_true,beta_true_c0", "f0,1,0.5,0.3", "f1,0,0,0"],
+}
+
+
+@pytest.mark.parametrize("name, line, column", [
+    ("ppi_gamma.csv", 2, 2), ("ppi_gamma.csv", 3, 3),
+    ("ppi_delta.csv", 2, 3), ("ppi_delta.csv", 3, 4), ("ppi_delta.csv", 2, 5),
+    ("truth.csv", 3, 2), ("truth.csv", 2, 3), ("truth.csv", 3, 4),
+])
+def test_evaluate_names_an_unparseable_cell(tmp_path, capsys, name, line, column):
+    for table, rows in _EVAL_TABLES.items():
+        if table == name:
+            cells = rows[line - 1].split(",")
+            cells[column - 1] = "x"
+            rows = [*rows[: line - 1], ",".join(cells), *rows[line:]]
+        (tmp_path / table).write_text("\n".join(rows) + "\n")
+    code = main([
+        "evaluate", "--fit-dir", str(tmp_path), "--truth", str(tmp_path / "truth.csv"),
+        "--out", str(tmp_path / "eval"),
+    ])
+    assert code == 2
+    assert f"{name}:{line}:{column}: unparseable" in capsys.readouterr().err
+
+
 def test_sim_study_smoke(tmp_path):
     out = tmp_path / "study"
     code = main([

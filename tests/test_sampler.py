@@ -23,7 +23,7 @@ from zinbreg.sampler import (
     ChainConfig,
     ModelState,
     _Engine,
-    _phi_proposal,
+    _truncated_walk,
     chain_pool,
     run_chain,
     run_chains_parallel,
@@ -369,26 +369,32 @@ def _naive_mu0_step(state, ds, sf, hp, scales, rng):
 def _naive_phi_step(state, ds, sf, hp, scales, rng):
     """Reference dispersion walk with a normal proposal truncated to
     phi > 0, one feature at a time, consuming the same rng draws as the
-    engine."""
+    engine: the acceptance uniforms, a normal draw per feature, then
+    rounds of one more draw per feature still at or below 0, in feature
+    order. Returns the number of draws made again."""
     from scipy.stats import norm
 
     p, ref, tau = ds.p, ds.groups.reference_group, scales.tau_phi
-    u01 = rng.random(p)
     log_u = np.log(rng.random(p))
+    prop = state.phi + tau * rng.standard_normal(p)
+    redraws = 0
+    low = [j for j in range(p) if prop[j] <= 0]
+    while low:
+        redraws += len(low)
+        for j, z in zip(low, rng.standard_normal(len(low))):
+            prop[j] = state.phi[j] + tau * z
+        low = [j for j in low if prop[j] <= 0]
     for j in range(p):
         phi = float(state.phi[j])
-        lo = norm.cdf(-phi / tau)
-        prop = phi + tau * norm.ppf(lo + u01[j] * (1.0 - lo))
-        if not (np.isfinite(prop) and prop > 0):
-            continue
         lr = (
-            _oracle_col_ll(state, ds, sf, j, phi=prop) - _oracle_col_ll(state, ds, sf, j)
-            + oracle.log_prior_terms(oracle.taxon(state, j, ref, phi=prop), hp).phi
+            _oracle_col_ll(state, ds, sf, j, phi=prop[j]) - _oracle_col_ll(state, ds, sf, j)
+            + oracle.log_prior_terms(oracle.taxon(state, j, ref, phi=prop[j]), hp).phi
             - oracle.log_prior_terms(oracle.taxon(state, j, ref), hp).phi
-            + norm.logcdf(phi / tau) - norm.logcdf(prop / tau)
+            + norm.logcdf(phi / tau) - norm.logcdf(prop[j] / tau)
         )
         if log_u[j] < lr:
-            state.phi[j] = prop
+            state.phi[j] = prop[j]
+    return redraws
 
 
 def _naive_gamma_step(state, ds, sf, hp, scales, rng):
@@ -486,10 +492,17 @@ def test_phi_step_matches_naive_reference(tiny_dataset):
     # correction and the prior ratio decide moves too
     hp = Hyperparameters(a_phi=2.0, b_phi=1.0)
     scales = ProposalScales(tau_phi=3.0)
+    redraws = []
+
+    def naive(*args):
+        redraws.append(_naive_phi_step(*args))
+
     s_eng, s_ref = _run_against_naive(
-        tiny_dataset, "step_phi", _naive_phi_step, 10, 11, hp=hp, scales=scales
+        tiny_dataset, "step_phi", naive, 10, 11, hp=hp, scales=scales
     )
     assert not np.array_equal(s_eng.phi, _start(tiny_dataset, 10)[1].phi)
+    # the proposals fell at or below 0 and were drawn again
+    assert sum(redraws) > 0
     np.testing.assert_allclose(s_eng.phi, s_ref.phi, rtol=0, atol=1e-10)
 
 
@@ -804,8 +817,8 @@ def test_move_ratios_match_the_oracle_log_mass():
         return act
 
     def phi(twin, proposed):
-        prop, _ = _phi_proposal(state.phi, eng.tau_phi, twin.random(p))
-        proposed.phi = np.where(np.isfinite(prop) & (prop > 0), prop, state.phi)
+        twin.random(p)
+        proposed.phi = _truncated_walk(state.phi, eng.tau_phi, twin)
         return slice(None)
 
     for move, replay in (
@@ -852,6 +865,20 @@ def test_clipped_log_means_keep_the_likelihood_finite():
                 assert np.isfinite(eng.log_posterior(state)), value
         assert ratios and all(np.all(np.isfinite(llr)) for llr in ratios), value
         oracle.check_state(state, ds.counts.counts)
+
+
+def test_baselines_past_the_clip_walk_back_down():
+    # at log odds past the softplus's clip of 700 the log mass still falls
+    # with the baseline, so baselines started at 800 walk down; a softplus
+    # held at 700 let the count term y*M carry them up, to 834-845
+    ds = small_dataset(seed=83, n=12, p=6)
+    eng, state = _start(ds, 3, sf=SizeFactors(np.ones(ds.n), "css"))
+    state.mu0[:] = 800.0
+    eng.attach(state)
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        eng.step_mu0(state, rng)
+    assert np.all(state.mu0 < 800.0), state.mu0
 
 
 def _wide_dataset(p, seed):

@@ -8,9 +8,10 @@ tests were written.
 import numpy as np
 import pytest
 from scipy import special as sp
+from scipy import stats
 
-from zinbreg.sampler import _phi_proposal
-from zinbreg.special import betaln, lgamma, ndtr, ndtri
+from zinbreg.sampler import _truncated_walk
+from zinbreg.special import betaln, lgamma, ndtr
 
 EPS = np.finfo(np.float64).eps
 TINY = np.finfo(np.float64).tiny  # below it, spacing is absolute
@@ -86,35 +87,21 @@ def test_ndtr_matches_scipy_in_both_tails():
 
 
 def test_log_mass_of_the_dispersion_proposal_is_the_normal_log_cdf():
+    # step_phi takes log P(N(phi, tau^2) > 0) as log1p(-ndtr(-phi/tau))
     x = np.linspace(0.0, 40.0, 100_001)
-    _, log_mass = _phi_proposal(x, 1.0, np.zeros_like(x))
     ref = sp.log_ndtr(x)
-    # log1p(-ndtr(-x)), with ndtr(-x)'s tolerance above (largest ratio
-    # seen: 0.56)
-    _assert_within(log_mass, ref, 4 * EPS * (1.0 + x * x) * np.abs(ref) + TINY)
+    # ndtr(-x)'s tolerance above, through log1p (largest ratio seen: 0.56)
+    _assert_within(np.log1p(-ndtr(-x)), ref, 4 * EPS * (1.0 + x * x) * np.abs(ref) + TINY)
 
 
-def test_ndtri_matches_scipy_over_the_unit_interval():
-    rng = np.random.default_rng(2)
-    p = np.concatenate([
-        np.exp(rng.uniform(np.log(1e-300), 0.0, 100_000)),
-        rng.uniform(0.0, 1.0, 100_000),
-        1.0 - np.exp(rng.uniform(np.log(1e-16), 0.0, 50_000)),
-        [1e-300, 0.075, 0.5, 0.925, 1.0 - 2.0**-53],
-    ])
-    p = p[(p > 0.0) & (p < 1.0)]
-    ref = sp.ndtri(p)
-    # AS241 is a ratio of two degree-7 polynomials evaluated by Horner's
-    # rule, each within about 7 eps relative (largest ratio seen: 0.28)
-    _assert_within(ndtri(p), ref, 16 * EPS * np.abs(ref))
-    np.testing.assert_array_equal(ndtri([0.0, 1.0]), [-np.inf, np.inf])
-
-
-@pytest.mark.parametrize("u", [1.0 - 2.0**-53, 1.0 - 1e-12, 0.5, 1e-9])
-def test_dispersion_proposal_is_finite_and_positive(u):
-    ratio = np.logspace(-3.0, 3.0, 61)
-    for tau in (0.01, 1.0, 30.0):
-        phi = ratio * tau
-        prop, log_mass = _phi_proposal(phi, tau, np.full(phi.size, u))
-        assert np.all(np.isfinite(prop)) and np.all(prop > 0.0), (u, tau)
-        assert np.all(np.isfinite(log_mass)) and np.all(log_mass <= 0.0)
+@pytest.mark.parametrize("ratio", [1e-3, 1.0, 1e3])
+def test_truncated_walk_draws_the_truncated_normal(ratio):
+    # 20,000 draws at phi/tau = ratio against scipy's truncated normal: at
+    # 1e-3 about half of each round is drawn again, at 1e3 none
+    tau = 2.5
+    phi = np.full(20_000, ratio * tau)
+    rng = np.random.default_rng(5)
+    draws = _truncated_walk(phi, tau, rng)
+    assert np.all(np.isfinite(draws)) and np.all(draws > 0.0)
+    law = stats.truncnorm(-ratio, np.inf, loc=ratio * tau, scale=tau)
+    assert stats.kstest(draws, law.cdf).pvalue > 1e-3
