@@ -24,7 +24,6 @@ counters are appended as comment lines at the end of the file).
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import typing
 from dataclasses import dataclass, field, fields
@@ -293,40 +292,30 @@ def parse_config(argv: list[str]) -> RunConfig:
 
 
 def _validate_config(cfg: RunConfig) -> None:
-    if cfg.subcommand in ("fit",):
-        for key in ("counts", "covariates", "groups"):
-            path = getattr(cfg, key)
-            if path is None:
-                raise UsageError(f"fit requires --{key}")
-            if not Path(path).exists():
-                raise UsageError(f"--{key} file not found: {path}")
-    if cfg.subcommand == "evaluate":
-        for key in ("fit_dir", "truth"):
-            path = getattr(cfg, key)
-            if path is None:
-                raise UsageError(f"evaluate requires --{key.replace('_', '-')}")
-            if not Path(path).exists():
-                raise UsageError(f"--{key.replace('_', '-')} not found: {path}")
+    inputs = {"fit": ("counts", "covariates", "groups"), "evaluate": ("fit_dir", "truth")}
+    for key in inputs.get(cfg.subcommand, ()):
+        flag, path = f"--{key.replace('_', '-')}", getattr(cfg, key)
+        if path is None:
+            raise UsageError(f"{cfg.subcommand} requires {flag}")
+        if not Path(path).exists():
+            raise UsageError(f"{flag} not found: {path}")
     if not 0 < cfg.fdr < 1:
         raise UsageError(f"--fdr must lie in (0, 1), got {cfg.fdr}")
-    if cfg.chains < 1:
-        raise UsageError(f"--chains must be >= 1, got {cfg.chains}")
-    if cfg.iterations < 1:
-        raise UsageError(f"--iterations must be >= 1, got {cfg.iterations}")
+    for key in ("chains", "iterations", "thin", "threads", "filter_min_count",
+                "filter_min_groups"):
+        value = getattr(cfg, key)
+        if value is not None and value < 1:
+            raise UsageError(f"--{key.replace('_', '-')} must be >= 1, got {value}")
     if cfg.burn_in is not None and not 0 <= cfg.burn_in < cfg.iterations:
         raise UsageError(
             f"--burn-in must lie in [0, iterations), got {cfg.burn_in}"
         )
-    if cfg.thin < 1:
-        raise UsageError(f"--thin must be >= 1, got {cfg.thin}")
     if not 0 <= cfg.l_css <= 100:
         raise UsageError(f"--l-css must lie in [0, 100], got {cfg.l_css}")
     if cfg.subcommand in ("sim-study",) and cfg.replicates < 1:
         raise UsageError(f"--replicates must be >= 1, got {cfg.replicates}")
     if cfg.subcommand == "sim-study" and cfg.trace_dump:
         raise UsageError("--trace-dump: only fit writes traces, sim-study does not")
-    if cfg.threads is not None and cfg.threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {cfg.threads}")
     if cfg.subcommand in ("fit", "sim-study") and cfg.threads is None:
         default_max_workers()  # a bad ZINBREG_THREADS fails here, before any work
     if cfg.seed < 0:
@@ -337,10 +326,6 @@ def _validate_config(cfg: RunConfig) -> None:
         raise UsageError(
             f"--convergence-floor must lie in [-1, 1], got {cfg.convergence_floor}"
         )
-    if cfg.filter_min_count < 1:
-        raise UsageError(f"--filter-min-count must be >= 1, got {cfg.filter_min_count}")
-    if cfg.filter_min_groups is not None and cfg.filter_min_groups < 1:
-        raise UsageError(f"--filter-min-groups must be >= 1, got {cfg.filter_min_groups}")
     if cfg.norm not in METHODS:
         raise UsageError(f"--norm must be one of {METHODS}, got {cfg.norm}")
 
@@ -364,9 +349,8 @@ def _write_resolved(cfg: RunConfig, out_dir: Path) -> None:
     )
 
 
-def _chain_seeds(base_seed: int, n_chains: int) -> list[int]:
-    state = np.random.SeedSequence(base_seed).generate_state(n_chains, dtype=np.uint64)
-    return [int(s) for s in state]
+def _chain_seeds(seq: np.random.SeedSequence, n_chains: int) -> list[int]:
+    return [int(s) for s in seq.generate_state(n_chains, dtype=np.uint64)]
 
 
 def _prepare_dataset(cfg: RunConfig, counts, covariates, groups) -> Dataset:
@@ -414,18 +398,14 @@ def _dump_traces(out_dir: Path, traces) -> None:
         if trace.diagnostics is None:
             continue
         path = out_dir / f"trace_chain{idx}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["iteration", "log_posterior", "sum_gamma"])
-            diag = trace.diagnostics
-            for i in range(diag["iteration"].size):
-                writer.writerow(
-                    [
-                        int(diag["iteration"][i]),
-                        format(float(diag["log_posterior"][i]), ".10g"),
-                        int(diag["sum_gamma"][i]),
-                    ]
-                )
+        diag = trace.diagnostics
+        zio.write_table(
+            path, ["iteration", "log_posterior", "sum_gamma"],
+            ([i, format(lp, ".10g"), s] for i, lp, s in zip(
+                diag["iteration"].tolist(), diag["log_posterior"].tolist(),
+                diag["sum_gamma"].tolist())),
+        )
+        with open(path, "a", newline="", encoding="utf-8") as fh:
             for move in sorted(trace.proposal_counts):
                 fh.write(
                     f"# accept {move} = {trace.accept_counts[move]}"
@@ -443,7 +423,8 @@ def fit_command(cfg: RunConfig) -> int:
         counts, covariates, cov_samples, groups, grp_samples
     )
     ds = _prepare_dataset(cfg, counts, covariates, groups)
-    sf, traces, summary = _fit_dataset(cfg, ds, _chain_seeds(cfg.seed, cfg.chains))
+    chain_seeds = _chain_seeds(np.random.SeedSequence(cfg.seed), cfg.chains)
+    sf, traces, summary = _fit_dataset(cfg, ds, chain_seeds)
 
     zio.write_ppi_gamma(out_dir / "ppi_gamma.csv", ds.counts.feature_ids, summary)
     zio.write_ppi_delta(
@@ -454,17 +435,9 @@ def fit_command(cfg: RunConfig) -> int:
         out_dir / "posterior_summary.csv", ds.counts.feature_ids, summary
     )
     zio.write_size_factors(out_dir / "size_factors.csv", ds.counts.sample_ids, sf)
-    converged = True
-    if len(traces) >= 2:
-        report = chain_concordance(traces, cfg.convergence_floor)
-        converged = report.converged
-        zio.write_convergence(out_dir / "convergence.csv", report)
-    else:
-        zio.write_table(
-            out_dir / "convergence.csv",
-            ["chain_a", "chain_b", "corr_gamma", "corr_delta", "converged"],
-            [],
-        )
+    report = chain_concordance(traces, cfg.convergence_floor) if len(traces) >= 2 else None
+    converged = report is None or report.converged
+    zio.write_convergence(out_dir / "convergence.csv", report)
     if cfg.trace_dump:
         _dump_traces(out_dir, traces)
     _write_resolved(cfg, out_dir)
@@ -542,11 +515,11 @@ def evaluate_command(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     fit_dir = Path(cfg.fit_dir)
-    g_ids, g_ppi, g_sel = zio.read_ppi_gamma(fit_dir / "ppi_gamma.csv")
-    d_feat, d_cov, d_ppi, d_sel, _ = zio.read_ppi_delta(fit_dir / "ppi_delta.csv")
+    gamma = zio.read_ppi_gamma(fit_dir / "ppi_gamma.csv")
+    delta = zio.read_ppi_delta(fit_dir / "ppi_delta.csv")[:4]
     t_feat, t_cov, gamma_true, mu2_true, beta_true = zio.read_truth(cfg.truth)
 
-    summary = _aligned_summary(t_feat, t_cov, g_ids, g_ppi, g_sel, d_feat, d_cov, d_ppi, d_sel)
+    summary = _truth_grid(t_feat, t_cov, gamma, delta)
     truth = SimTruth(
         gamma_true=gamma_true,
         delta_true=(beta_true != 0).astype(np.int8),
@@ -563,52 +536,37 @@ def evaluate_command(cfg: RunConfig) -> int:
     return 0
 
 
-def _aligned_summary(
-    t_feat, t_cov, g_ids, g_ppi, g_sel, d_feat, d_cov, d_ppi, d_sel
-) -> PosteriorSummary:
-    """Expand fit outputs onto the truth's feature/covariate grid; features
-    dropped before fitting score as never selected (PPI 0). Only the PPIs
-    and selections are scored, so the means and intervals are zeros."""
-    unknown = set(g_ids) - set(t_feat)
+def _truth_grid(t_feat, t_cov, gamma, delta) -> PosteriorSummary:
+    """A fit's PPIs and selections on the truth's grid of features
+    ``t_feat`` and covariates ``t_cov``, for ``evaluate`` and ``sim-study``
+    alike. ``gamma`` is (feature ids, PPIs, selections) and ``delta``
+    (feature ids, covariate ids, PPIs, selections) with (covariates,
+    features) matrices, as ``io.read_ppi_gamma`` and ``io.read_ppi_delta``
+    return them. Cells the fit lacks, such as features dropped before
+    fitting, score as never selected (PPI 0). Only the PPIs and selections
+    are scored, so the means and intervals are zeros."""
+    g_feat, g_ppi, g_sel = gamma
+    d_feat, d_cov, d_ppi, d_sel = delta
+    unknown = set(g_feat).union(d_feat) - set(t_feat)
     if unknown:
         raise DataError(f"fit feature {sorted(unknown)[0]!r} absent from truth table")
     if set(d_cov) - set(t_cov):
         raise DataError("fit covariates absent from truth table")
     p, big_r = len(t_feat), len(t_cov)
-    ppi_gamma = np.zeros(p)
-    sel_gamma = np.zeros(p, dtype=bool)
-    gpos = {f: j for j, f in enumerate(t_feat)}
-    for i, fid in enumerate(g_ids):
-        ppi_gamma[gpos[fid]] = g_ppi[i]
-        sel_gamma[gpos[fid]] = g_sel[i]
-    ppi_delta = np.zeros((big_r, p))
-    sel_delta = np.zeros((big_r, p), dtype=bool)
+    fpos = {f: j for j, f in enumerate(t_feat)}
     cpos = {c: r for r, c in enumerate(t_cov)}
-    for i, fid in enumerate(d_feat):
-        for k, cid in enumerate(d_cov):
-            ppi_delta[cpos[cid], gpos[fid]] = d_ppi[k, i]
-            sel_delta[cpos[cid], gpos[fid]] = d_sel[k, i]
+    g_cells = [fpos[f] for f in g_feat]
+    d_cells = np.ix_([cpos[c] for c in d_cov], [fpos[f] for f in d_feat])
+    ppi_gamma, sel_gamma = np.zeros(p), np.zeros(p, dtype=bool)
+    ppi_gamma[g_cells], sel_gamma[g_cells] = g_ppi, g_sel
+    ppi_delta, sel_delta = np.zeros((big_r, p)), np.zeros((big_r, p), dtype=bool)
+    ppi_delta[d_cells], sel_delta[d_cells] = d_ppi, d_sel
     zeros_p, zeros_kp = np.zeros(p), np.zeros((2, p))
     return PosteriorSummary(
         ppi_gamma=ppi_gamma, ppi_delta=ppi_delta,
         selected_gamma=sel_gamma, selected_delta=sel_delta,
         mu0_mean=zeros_p, mu_mean=zeros_kp, mu_lower=zeros_kp, mu_upper=zeros_kp,
         beta_mean=np.zeros((big_r, p)), phi_mean=zeros_p,
-    )
-
-
-def _expand_summary(summary: PosteriorSummary, kept, p_full: int) -> PosteriorSummary:
-    """Map a summary on filtered features back onto the full feature grid:
-    every field's last axis is the features, and the dropped ones are 0."""
-    idx = np.asarray(kept, dtype=np.int64)
-
-    def expand(a):
-        out = np.zeros((*a.shape[:-1], p_full), dtype=a.dtype)
-        out[..., idx] = a
-        return out
-
-    return PosteriorSummary(
-        **{f.name: expand(getattr(summary, f.name)) for f in fields(summary)}
     )
 
 
@@ -627,15 +585,16 @@ def sim_study_command(cfg: RunConfig) -> int:
             sim_seed = cfg.sim_seed + rep
             try:
                 counts, covariates, groups, truth = generate(_sim_config(cfg, sim_seed), pool)
-                full_ids = counts.feature_ids
                 ds = _prepare_dataset(cfg, counts, covariates, groups)
-                chain_seeds = [
-                    int(s)
-                    for s in seed_children[rep].generate_state(cfg.chains, dtype=np.uint64)
-                ]
+                chain_seeds = _chain_seeds(seed_children[rep], cfg.chains)
                 _, traces, summary = _fit_dataset(cfg, ds, chain_seeds, workers)
-                kept = [full_ids.index(fid) for fid in ds.counts.feature_ids]
-                full_summary = _expand_summary(summary, kept, len(full_ids))
+                kept = ds.counts.feature_ids
+                full_summary = _truth_grid(
+                    counts.feature_ids, covariates.covariate_ids,
+                    (kept, summary.ppi_gamma, summary.selected_gamma),
+                    (kept, ds.covariates.covariate_ids,
+                     summary.ppi_delta, summary.selected_delta),
+                )
                 report = score_run(full_summary, truth)
                 reports.append(report)
                 rows.append([str(rep), str(sim_seed), *_score_row(report), "ok"])

@@ -21,9 +21,9 @@ __all__ = [
 ]
 
 
-def roc_auc(scores: np.ndarray, truth: np.ndarray) -> float:
-    """Rank-based (Mann-Whitney) area under the ROC curve with midrank
-    handling of tied scores."""
+def _two_classes(scores, truth) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Scores as flat float64 and truth as flat bool, with the counts of
+    positives and negatives; both classes must be present."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
     truth = np.asarray(truth).ravel().astype(bool)
     if scores.shape != truth.shape:
@@ -32,6 +32,13 @@ def roc_auc(scores: np.ndarray, truth: np.ndarray) -> float:
     n_neg = truth.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClassTruth("truth must contain both classes")
+    return scores, truth, n_pos, n_neg
+
+
+def roc_auc(scores: np.ndarray, truth: np.ndarray) -> float:
+    """Rank-based (Mann-Whitney) area under the ROC curve with midrank
+    handling of tied scores."""
+    scores, truth, n_pos, n_neg = _two_classes(scores, truth)
     # midrank of each distinct score: ranks before it plus (count + 1) / 2
     _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
     ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
@@ -41,14 +48,7 @@ def roc_auc(scores: np.ndarray, truth: np.ndarray) -> float:
 def roc_points(scores: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ROC coordinates (fpr, tpr) swept over the distinct score values,
     from (0, 0) to (1, 1)."""
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    truth = np.asarray(truth).ravel().astype(bool)
-    if scores.shape != truth.shape:
-        raise DimensionMismatch("scores and truth must have the same length")
-    n_pos = int(truth.sum())
-    n_neg = truth.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise SingleClassTruth("truth must contain both classes")
+    scores, truth, n_pos, n_neg = _two_classes(scores, truth)
     order = np.argsort(-scores, kind="stable")
     tp = np.cumsum(truth[order])
     fp = np.cumsum(~truth[order])

@@ -128,6 +128,15 @@ def _cell(path, line: int, column: int, text: str, parse, what: str):
         raise ParseError(str(path), line, column, f"unparseable {what} {text!r}") from None
 
 
+def _label(path, line: int, column: int, text: str, what: str) -> int:
+    """The 0 or 1 in the cell at ``line`` and ``column``, or a ParseError
+    naming the cell when it holds anything else."""
+    value = _cell(path, line, column, text, int, what)
+    if value not in (0, 1):
+        raise ParseError(str(path), line, column, f"{what} {text!r} is not 0 or 1")
+    return value
+
+
 def read_covariates(path) -> tuple[CovariateMatrix, tuple[str, ...]]:
     """Read a covariate table: sample_id column followed by real columns.
     Returns the matrix and its row sample ids."""
@@ -171,6 +180,8 @@ def align_to_counts(
 ) -> tuple[CovariateMatrix, GroupAssignment]:
     """Reorder covariate and group rows to the count matrix's sample order,
     joining on sample_id."""
+    known = set(counts.sample_ids)
+    orders = []
     for name, ids in (("covariates", covariate_samples), ("groups", group_samples)):
         index = {sid: i for i, sid in enumerate(ids)}
         if len(index) != len(ids):
@@ -178,13 +189,11 @@ def align_to_counts(
         missing = [sid for sid in counts.sample_ids if sid not in index]
         if missing:
             raise UnalignedSampleIds(f"sample {missing[0]!r} missing from {name}")
-        extra = [sid for sid in ids if sid not in set(counts.sample_ids)]
+        extra = [sid for sid in ids if sid not in known]
         if extra:
             raise UnalignedSampleIds(f"sample {extra[0]!r} in {name} but not in counts")
-    cov_index = {sid: i for i, sid in enumerate(covariate_samples)}
-    grp_index = {sid: i for i, sid in enumerate(group_samples)}
-    cov_order = [cov_index[sid] for sid in counts.sample_ids]
-    grp_order = [grp_index[sid] for sid in counts.sample_ids]
+        orders.append([index[sid] for sid in counts.sample_ids])
+    cov_order, grp_order = orders
     covariates = CovariateMatrix(
         covariates.values[cov_order], covariates.covariate_ids, covariates.standardized
     )
@@ -248,7 +257,7 @@ def read_truth(path) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, np.n
     feature_ids = tuple(row[0] for row in body)
     gamma, mu2, beta = [], [], []
     for line, row in enumerate(body, start=2):
-        gamma.append(_cell(path, line, 2, row[1], int, "gamma_true"))
+        gamma.append(_label(path, line, 2, row[1], "gamma_true"))
         mu2.append(_cell(path, line, 3, row[2], float, "mu2_true"))
         beta.append([_cell(path, line, col, v, float, "beta_true")
                      for col, v in enumerate(row[3:], start=4)])
@@ -286,7 +295,7 @@ def read_ppi_gamma(path) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
         raise ParseError(str(path), 1, 1, "not a ppi_gamma table")
     ids = tuple(row[0] for row in body)
     ppi = [_cell(path, line, 2, row[1], float, "ppi") for line, row in enumerate(body, start=2)]
-    selected = [_cell(path, line, 3, row[2], int, "selected flag")
+    selected = [_label(path, line, 3, row[2], "selected flag")
                 for line, row in enumerate(body, start=2)]
     return ids, np.array(ppi), np.array(selected, dtype=bool)
 
@@ -309,7 +318,7 @@ def read_ppi_delta(path):
     for line, row in enumerate(body, start=2):
         r, j = cidx[row[1]], fidx[row[0]]
         ppi[r, j] = _cell(path, line, 3, row[2], float, "ppi")
-        selected[r, j] = _cell(path, line, 4, row[3], int, "selected flag")
+        selected[r, j] = _label(path, line, 4, row[3], "selected flag")
         beta[r, j] = _cell(path, line, 5, row[4], float, "beta_mean")
     return feature_ids, covariate_ids, ppi, selected, beta
 
@@ -334,9 +343,11 @@ def write_posterior_summary(path, feature_ids, summary: PosteriorSummary) -> Non
     write_table(path, header, rows)
 
 
-def write_convergence(path, report: ConcordanceReport) -> None:
+def write_convergence(path, report: ConcordanceReport | None) -> None:
+    """The pairwise PPI correlations of ``report``; no rows for ``None``, a
+    fit with one chain."""
     rows = []
-    c = report.corr_gamma.shape[0]
+    c = 0 if report is None else report.corr_gamma.shape[0]
     for a in range(c):
         for b in range(a + 1, c):
             rows.append(

@@ -106,8 +106,7 @@ def estimate_css(counts: CountMatrix, l_css: int = 50) -> SizeFactors:
 
 def estimate_q75(counts: CountMatrix) -> SizeFactors:
     """Upper-quartile scaling: the 75th percentile of nonzero counts."""
-    raw = np.array([_quantile(nz, 0.75) for nz in _nonzero_rows(counts)])
-    return _renormalize(raw, "q75")
+    return _renormalize(_upper_quartiles(counts), "q75")
 
 
 def estimate_gmpr(counts: CountMatrix) -> SizeFactors:

@@ -38,15 +38,20 @@ A mean move shifts ``M`` by its change in the log mean. The count term of
 its log likelihood ratio is then the shift times the matching count sum,
 and the rest is ``-sum w*(sp' - sp)`` over the cells it touches: one
 softplus (three passes) at its proposal, a difference and an ``einsum``.
-The extra-zero step reads the cached softplus at the zero cells, where the
-log mass is ``-phi*sp``. The dispersion move shifts ``M`` by
-``-(log phi' - log phi)``, moves the weights with ``phi`` and takes
-``lgamma`` on the nonzero counts and the p dispersions only. A move copies
-its accepted rows into the cache, and the log posterior is a sum over the
-cache plus the priors. The likelihood of a move goes through ``_ratio``
-and ``_commit`` alone: in a prior-only chain the first gives a zero ratio
-and the second copies nothing, so the moves leave the cache alone and the
-log posterior rebuilds it.
+The three random walks on the means (baselines, active shifts and active
+effects) are one method, ``_walk``. ``step_mu0``, ``_mu_within`` and
+``_beta_within`` each draw their own steps and uniforms and take their own
+prior ratio; ``_walk`` shifts the gathered log-odds rows by the step
+(times the covariate row, for an effect), takes the ratio, accepts,
+commits and counts. The extra-zero step reads the cached softplus at the
+zero cells, where the log mass is ``-phi*sp``. The dispersion move shifts
+``M`` by ``-(log phi' - log phi)``, moves the weights with ``phi`` and
+takes ``lgamma`` on the nonzero counts and the p dispersions only. A move
+copies its accepted rows into the cache, and the log posterior is a sum
+over the cache plus the priors. The likelihood of a move goes through
+``_ratio`` and ``_commit`` alone: in a prior-only chain the first gives a
+zero ratio and the second copies nothing, so the moves leave the cache
+alone and the log posterior rebuilds it.
 
 The engine stores its per-cell arrays feature-major, (p, n): the counts,
 the mask, the cache and the scratch views. Its samples are ordered by
@@ -441,6 +446,32 @@ class _Engine:
             w *= _take(self.active, dest, self._work2, axis=0)
             self.w[dest] = w
 
+    def _walk(self, move, step, sums, lpr, log_u, feats=None, span=slice(None), x=None):
+        """One random walk of a mean parameter: per feature (of ``feats``,
+        or every feature), the log odds on the samples ``span`` move by
+        ``step``, or for an effect on every sample by ``step`` times the
+        covariate row ``x``; the count term is ``step`` times the count sums
+        ``sums``. Accepts where ``log_u`` falls below the log likelihood
+        ratio plus the prior ratio ``lpr``, commits and counts; returns the
+        accepted mask."""
+
+        def proposal():
+            if x is None:
+                rows = self.log_odds if feats is None else _take(
+                    self.log_odds, feats, self._work1, axis=0
+                )
+                rows = rows[:, span]
+                log_odds = np.add(rows, step[:, None], out=_view(self._lm_new, rows.shape))
+            else:  # whole rows plus the outer product step x covariate
+                log_odds = _take(self.log_odds, feats, self._lm_new, axis=0)
+                log_odds += np.einsum("i,j->ij", step, x, out=_view(self._work1, log_odds.shape))
+            return log_odds, step * sums
+
+        accept = log_u < self._ratio(proposal, feats, span) + lpr
+        self._commit(np.flatnonzero(accept), feats, span)
+        self._count(move, step.size, int(accept.sum()))
+        return accept
+
     def log_posterior(self, state: ModelState) -> float:
         """Full log posterior up to an additive constant (diagnostics)."""
         hp = self.hp
@@ -519,23 +550,11 @@ class _Engine:
     # -- step 2: feature baselines ----------------------------------------
 
     def step_mu0(self, state: ModelState, rng: np.random.Generator) -> None:
-        p = self.p
-        prop = state.mu0 + self.tau_mu0 * rng.standard_normal(p)
-        log_u = np.log(rng.random(p))
-
-        def proposal():
-            shift = prop - state.mu0
-            log_odds = np.add(
-                self.log_odds, shift[:, None], out=_view(self._lm_new, self.log_odds.shape)
-            )
-            return log_odds, shift * self.y_tot
-
-        llr = self._ratio(proposal)
+        prop = state.mu0 + self.tau_mu0 * rng.standard_normal(self.p)
+        log_u = np.log(rng.random(self.p))
         lpr = (np.square(state.mu0) - np.square(prop)) / (2.0 * self.hp.sigma0_sq)
-        accept = log_u < llr + lpr
+        accept = self._walk("mu0", prop - state.mu0, self.y_tot, lpr, log_u)
         state.mu0[accept] = prop[accept]
-        self._commit(np.flatnonzero(accept))
-        self._count("mu0", p, int(accept.sum()))
 
     # -- step 3: discrimination indicators and group shifts ----------------
 
@@ -620,26 +639,13 @@ class _Engine:
                 continue
             cur = state.mu[k, act]
             prp = cur + step
-            g = self.group_span[k]
-
-            def proposal():
-                # whole rows gathered, the group's samples then cut from
-                # them: numpy's take would copy a sliced source whole first
-                rows = _take(self.log_odds, act, self._work1, axis=0)
-                log_odds = np.add(
-                    rows[:, g], step[:, None],
-                    out=_view(self._lm_new, (act.size, g.stop - g.start)),
-                )
-                return log_odds, step * self.y_group[k, act]
-
-            llr_w = self._ratio(proposal, act, g)
             lpr = log_t_density(prp, self.t_df, self.t_scale_sq) - log_t_density(
                 cur, self.t_df, self.t_scale_sq
             )
-            accept = log_uu < llr_w + lpr
+            accept = self._walk(
+                "mu_within", step, self.y_group[k, act], lpr, log_uu, act, self.group_span[k]
+            )
             state.mu[k, act[accept]] = prp[accept]
-            self._commit(np.flatnonzero(accept), act, g)
-            self._count("mu_within", act.size, int(accept.sum()))
 
     # -- step 4: covariate indicators and effects --------------------------
 
@@ -705,22 +711,13 @@ class _Engine:
                 continue
             cur = state.beta[r_idx, act]
             prp = cur + step
-
-            def proposal():
-                log_odds = _take(self.log_odds, act, self._lm_new, axis=0)
-                log_odds += np.einsum(  # the outer product step x covariate
-                    "i,j->ij", step, self.xt[r_idx], out=_view(self._work1, log_odds.shape)
-                )
-                return log_odds, step * self.y_x[r_idx, act]
-
-            llr_w = self._ratio(proposal, act)
             lpr = log_t_density(prp, self.t_df, self.t_scale_sq) - log_t_density(
                 cur, self.t_df, self.t_scale_sq
             )
-            accept = log_uu < llr_w + lpr
+            accept = self._walk(
+                "beta_within", step, self.y_x[r_idx, act], lpr, log_uu, act, x=self.xt[r_idx]
+            )
             state.beta[r_idx, act[accept]] = prp[accept]
-            self._commit(np.flatnonzero(accept), act)
-            self._count("beta_within", act.size, int(accept.sum()))
 
     # -- step 5: dispersions ------------------------------------------------
 

@@ -88,22 +88,6 @@ def dirichlet_draw(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return g / total
 
 
-def _multinomial(rng: np.random.Generator, n_total: int, probs: np.ndarray) -> np.ndarray:
-    """Exact multinomial draw by sequential binomial decomposition."""
-    out = np.zeros(probs.size, dtype=np.int64)
-    remaining = int(n_total)
-    tail = 1.0
-    for j in range(probs.size - 1):
-        if remaining == 0:
-            break
-        pj = probs[j] / tail if tail > 0 else 1.0
-        out[j] = rng.binomial(remaining, min(max(pj, 0.0), 1.0))
-        remaining -= out[j]
-        tail -= probs[j]
-    out[-1] += remaining
-    return out
-
-
 def _covariates_from_pool(
     rng: np.random.Generator,
     pool: CovariateMatrix,
@@ -129,7 +113,11 @@ def generate(
 
     Group 1 is the reference; the first n/2 samples belong to it.
     Covariate rows come from ``pool`` (one half per pool group) when
-    given, otherwise from a built-in standard-normal pool.
+    given, otherwise from a built-in standard-normal pool. Each sample's
+    counts are one ``rng.multinomial`` draw of its total over its
+    Dirichlet proportions: numpy draws it as a sequence of binomials, the
+    first feature's from the whole total, each next one's from what is left
+    at its share of the remaining probability.
     """
     rng = np.random.default_rng(config.seed)
     n, p, R = config.n, config.p, config.n_covariates
@@ -171,7 +159,7 @@ def generate(
     for i in range(n):
         probs = dirichlet_draw(np.exp(log_conc[i]), rng)
         total = int(rng.integers(config.total_min, config.total_max + 1))
-        y[i] = _multinomial(rng, total, probs)
+        y[i] = rng.multinomial(total, probs)
 
     mask = np.zeros((n, p), dtype=np.int8)
     n_mask = int(round(config.pi0 * n * p))

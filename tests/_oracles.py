@@ -140,6 +140,24 @@ def tmm_factors(y, trim_m=0.30, trim_a=0.05):
     return renormalize(raw)
 
 
+def multinomial(rng: np.random.Generator, n_total: int, probs: np.ndarray) -> np.ndarray:
+    """Exact multinomial draw by sequential binomial decomposition, one
+    ``rng.binomial`` call per category: the reference for numpy's
+    ``Generator.multinomial``."""
+    out = np.zeros(probs.size, dtype=np.int64)
+    remaining = int(n_total)
+    tail = 1.0
+    for j in range(probs.size - 1):
+        if remaining == 0:
+            break
+        pj = probs[j] / tail if tail > 0 else 1.0
+        out[j] = rng.binomial(remaining, min(max(pj, 0.0), 1.0))
+        remaining -= out[j]
+        tail -= probs[j]
+    out[-1] += remaining
+    return out
+
+
 def fdr_scan(ppis, target):
     """Evaluate the Bayesian FDR formula at every candidate cutoff on
     1 - PPI and return the largest selection meeting the target."""

@@ -16,7 +16,7 @@ import pytest
 
 import _oracles as oracle
 from conftest import make_counts, random_counts
-from zinbreg.cli import _expand_summary, main
+from zinbreg.cli import _truth_grid, main
 from zinbreg.data import (
     CovariateMatrix,
     GroupAssignment,
@@ -63,10 +63,15 @@ def _desk_replicate(sim_seed, fit_seed_base, m_active=None):
     counts, covs, groups, truth = generate(SimConfig(seed=sim_seed, **kwargs))
     kept = filter_low_abundance(counts, groups, 2, 2)
     ds = validate_inputs(kept, standardize_covariates(covs), groups)
-    kept_idx = np.array([counts.feature_ids.index(f) for f in kept.feature_ids])
     seeds = [fit_seed_base + i for i in range(DESK_CHAINS)]
     traces, summary = _fit(ds, DESK_CHAINS, DESK_ITER, seeds)
-    return traces, summary, truth, kept_idx
+    # the PPIs and selections on the truth's grid, as sim-study scores them
+    full = _truth_grid(
+        counts.feature_ids, covs.covariate_ids,
+        (kept.feature_ids, summary.ppi_gamma, summary.selected_gamma),
+        (kept.feature_ids, covs.covariate_ids, summary.ppi_delta, summary.selected_delta),
+    )
+    return traces, full, truth
 
 
 @pytest.fixture(scope="module")
@@ -123,8 +128,7 @@ def test_criterion_1_prior_calibration():
 
 def test_criterion_2_desk_scale_reference(desk_runs):
     aucs_g, aucs_d = [], []
-    for traces, summary, truth, kept_idx in desk_runs:
-        full = _expand_summary(summary, kept_idx, truth.gamma_true.size)
+    for _, full, truth in desk_runs:
         aucs_g.append(roc_auc(full.ppi_gamma, truth.gamma_true))
         aucs_d.append(roc_auc(full.ppi_delta.ravel(), truth.delta_true.ravel()))
     mean_g, mean_d = float(np.mean(aucs_g)), float(np.mean(aucs_d))
@@ -155,10 +159,9 @@ def test_criterion_2b_acceptance_rates_sane(desk_runs):
 def test_criterion_3_null_delta_false_positive_control():
     fractions = []
     for rep in range(DESK_REPS):
-        _, summary, truth, kept_idx = _desk_replicate(
+        _, full, _ = _desk_replicate(
             sim_seed=3000 + rep, fit_seed_base=7000 + 10 * rep, m_active=0
         )
-        full = _expand_summary(summary, kept_idx, truth.gamma_true.size)
         fractions.append(full.selected_delta.mean())
     mean_frac = float(np.mean(fractions))
     ok = mean_frac <= 0.05 + 0.03

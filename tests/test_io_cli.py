@@ -6,7 +6,7 @@ import pytest
 
 from conftest import small_dataset
 from zinbreg import io as zio
-from zinbreg.cli import _KEY_TYPES, _expand_summary, main, parse_config
+from zinbreg.cli import _KEY_TYPES, _truth_grid, main, parse_config
 from zinbreg.data import (
     CountMatrix,
     CovariateMatrix,
@@ -14,7 +14,13 @@ from zinbreg.data import (
     Hyperparameters,
     ProposalScales,
 )
-from zinbreg.errors import NonIntegerCount, ParseError, UnalignedSampleIds, UsageError
+from zinbreg.errors import (
+    DataError,
+    NonIntegerCount,
+    ParseError,
+    UnalignedSampleIds,
+    UsageError,
+)
 from zinbreg.inference import PosteriorSummary, summarize
 from zinbreg.sampler import ChainConfig, run_chains_parallel
 from zinbreg.simulate import SimConfig, generate
@@ -210,21 +216,46 @@ def test_non_key_fields_in_a_config_file_are_usage_errors(tmp_path, tiny_files, 
     assert f"unknown config key: {key}" in capsys.readouterr().err
 
 
-def test_expand_summary_puts_every_field_on_the_full_grid():
+def test_truth_grid_places_the_ppis_and_selections_and_zeros_the_rest():
     ds = small_dataset(seed=8)
     configs = [ChainConfig(n_iter=40, burn_in=20, seed=s) for s in (1, 2)]
     summary = summarize(run_chains_parallel(ds, Hyperparameters(), ProposalScales(),
                                             configs, max_workers=1))
     p_full = ds.p + 4
     kept = np.sort(np.random.default_rng(0).choice(p_full, ds.p, replace=False))
-    dropped = np.setdiff1d(np.arange(p_full), kept)
-    full = _expand_summary(summary, kept.tolist(), p_full)
+    t_feat = tuple(f"t{j}" for j in range(p_full))
+    fit_feat = tuple(t_feat[j] for j in kept)
+    fit_cov = ds.covariates.covariate_ids
+    t_cov = (*reversed(fit_cov), "c_unfitted")  # another order, one covariate more
+    full = _truth_grid(
+        t_feat, t_cov, (fit_feat, summary.ppi_gamma, summary.selected_gamma),
+        (fit_feat, fit_cov, summary.ppi_delta, summary.selected_delta),
+    )
+    rows = [t_cov.index(c) for c in fit_cov]
+    for name in ("ppi_gamma", "selected_gamma", "ppi_delta", "selected_delta"):
+        value, placed = getattr(summary, name), getattr(full, name)
+        cells = np.ix_(rows, kept) if value.ndim == 2 else kept
+        assert placed.shape == (len(t_cov), p_full)[2 - value.ndim:], name
+        np.testing.assert_array_equal(placed[cells], value, err_msg=name)
+        rest = np.ones(placed.shape, dtype=bool)
+        rest[cells] = False
+        assert not placed[rest].any(), name
     for f in fields(PosteriorSummary):
-        value, expanded = getattr(summary, f.name), getattr(full, f.name)
-        assert expanded.shape == (*value.shape[:-1], p_full), f.name
-        assert expanded.dtype == value.dtype, f.name
-        np.testing.assert_array_equal(expanded[..., kept], value, err_msg=f.name)
-        assert not expanded[..., dropped].any(), f.name
+        if not f.name.startswith(("ppi_", "selected_")):
+            assert not getattr(full, f.name).any(), f.name
+
+
+def test_truth_grid_rejects_a_feature_or_covariate_the_truth_lacks():
+    no_gamma = ((), np.zeros(0), np.zeros(0, dtype=bool))
+    no_delta = ((), (), np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
+    one = (np.ones((1, 1)), np.ones((1, 1), dtype=bool))
+    for gamma, delta, message in (
+        ((("f9",), np.ones(1), np.ones(1, dtype=bool)), no_delta, "fit feature 'f9' absent"),
+        (no_gamma, (("f9",), ("c0",), *one), "fit feature 'f9' absent"),
+        (no_gamma, (("f0",), ("c9",), *one), "fit covariates absent"),
+    ):
+        with pytest.raises(DataError, match=message):
+            _truth_grid(("f0",), ("c0",), gamma, delta)
 
 
 def test_main_usage_error_exit_code():
@@ -304,7 +335,8 @@ def test_fit_data_error_exit_code(tmp_path, tiny_files):
 def test_fit_prior_only_gamma_ppi_near_prior_mean(tiny_files, tmp_path):
     src, *_ = tiny_files
     out = tmp_path / "prior_out"
-    code = main(_fit_args(src, out, extra=("--prior-only", "--iterations", "2000")))
+    # 16,000 sweeps put the 0.05 band at about 3.4 s.d. of the mean over seeds
+    code = main(_fit_args(src, out, extra=("--prior-only", "--iterations", "16000")))
     assert code in (0, 3)
     _, ppi, _ = zio.read_ppi_gamma(out / "ppi_gamma.csv")
     assert abs(ppi.mean() - 0.1) < 0.05
@@ -355,16 +387,25 @@ _EVAL_TABLES = {
 }
 
 
-@pytest.mark.parametrize("name, line, column", [
+# every cell of each table, and its 0/1 label cells
+_EVAL_CELLS = [
     ("ppi_gamma.csv", 2, 2), ("ppi_gamma.csv", 3, 3),
     ("ppi_delta.csv", 2, 3), ("ppi_delta.csv", 3, 4), ("ppi_delta.csv", 2, 5),
     ("truth.csv", 3, 2), ("truth.csv", 2, 3), ("truth.csv", 3, 4),
+]
+_LABEL_CELLS = [("ppi_gamma.csv", 3, 3), ("ppi_delta.csv", 3, 4), ("truth.csv", 3, 2)]
+
+
+@pytest.mark.parametrize("name, line, column, value", [
+    *(pytest.param(*cell, "x", id="{}-{}-{}".format(*cell)) for cell in _EVAL_CELLS),
+    *(pytest.param(*cell, value, id="{}-{}-{}-{}".format(*cell, value))
+      for cell in _LABEL_CELLS for value in ("300", "2", "-1")),
 ])
-def test_evaluate_names_an_unparseable_cell(tmp_path, capsys, name, line, column):
+def test_evaluate_names_an_unparseable_cell(tmp_path, capsys, name, line, column, value):
     for table, rows in _EVAL_TABLES.items():
         if table == name:
             cells = rows[line - 1].split(",")
-            cells[column - 1] = "x"
+            cells[column - 1] = value
             rows = [*rows[: line - 1], ",".join(cells), *rows[line:]]
         (tmp_path / table).write_text("\n".join(rows) + "\n")
     code = main([
@@ -372,7 +413,11 @@ def test_evaluate_names_an_unparseable_cell(tmp_path, capsys, name, line, column
         "--out", str(tmp_path / "eval"),
     ])
     assert code == 2
-    assert f"{name}:{line}:{column}: unparseable" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if value == "x":
+        assert f"{name}:{line}:{column}: unparseable" in err
+    else:
+        assert f"{name}:{line}:{column}: " in err and f"'{value}' is not 0 or 1" in err
 
 
 def test_sim_study_smoke(tmp_path):
@@ -597,3 +642,51 @@ def test_filter_min_groups_above_group_count_is_usage_error(tiny_files, tmp_path
     ]) == 1
     assert "--filter-min-groups must be at most the 2 groups" in capsys.readouterr().err
     assert not (out / "replicate_scores.csv").exists()
+
+
+def _pool_files(directory, group_rows):
+    """A covariate pool of 16 samples, s0-s7 in group 1 and s8-s15 in group
+    2, and its group file listing the samples ``group_rows`` in that order."""
+    directory.mkdir()
+    ids = tuple(f"s{i}" for i in range(16))
+    pool = CovariateMatrix(np.random.default_rng(21).standard_normal((16, 2)), ("a", "b"))
+    zio.write_covariates(directory / "pool.csv", pool, ids)
+    zio.write_table(directory / "pool_groups.csv", ["sample_id", "group"],
+                    ([ids[i], "1" if i < 8 else "2"] for i in group_rows))
+    return ["--pool-covariates", str(directory / "pool.csv"),
+            "--pool-groups", str(directory / "pool_groups.csv")]
+
+
+def _simulate_args(out, *extra):
+    return [
+        "simulate", "--n", "12", "--p", "10", "--n-disc", "3",
+        "--n-covariates", "2", "--m-active", "1",
+        "--total-min", "20000", "--total-max", "40000",
+        "--sim-seed", "3", "--out", str(out), *extra,
+    ]
+
+
+def test_simulate_realigns_pool_groups_by_sample_id(tmp_path):
+    written = []
+    for name, rows in (("aligned", range(16)), ("reversed", range(15, -1, -1))):
+        pool = _pool_files(tmp_path / name, rows)
+        assert main(_simulate_args(tmp_path / name / "sim", *pool)) == 0
+        written.append((tmp_path / name / "sim" / "covariates.csv").read_bytes())
+    assert written[0] == written[1]
+    # each half of the samples drew its rows from its own pool group
+    pool, _ = zio.read_covariates(tmp_path / "aligned" / "pool.csv")
+    sim, _ = zio.read_covariates(tmp_path / "aligned" / "sim" / "covariates.csv")
+    for half, members in ((sim.values[:6], pool.values[:8]), (sim.values[6:], pool.values[8:])):
+        assert {tuple(row) for row in half} <= {tuple(row) for row in members}
+
+
+def test_simulate_pool_sample_without_a_group_label_is_a_usage_error(tmp_path, capsys):
+    pool = _pool_files(tmp_path / "pool", range(15))
+    assert main(_simulate_args(tmp_path / "sim", *pool)) == 1
+    assert "pool sample 's15' missing group label" in capsys.readouterr().err
+
+
+def test_simulate_pool_covariates_need_pool_groups(tmp_path, capsys):
+    pool = _pool_files(tmp_path / "pool", range(16))
+    assert main(_simulate_args(tmp_path / "sim", *pool[:2])) == 1
+    assert "--pool-covariates requires --pool-groups" in capsys.readouterr().err

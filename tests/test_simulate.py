@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import _oracles as oracle
+
 from zinbreg.data import (
     CovariateMatrix,
     GroupAssignment,
@@ -150,3 +152,18 @@ def test_generate_zinb_multi_group_labels():
     _, _, groups, truth = generate_zinb(n=30, p=6, n_disc=2, n_groups=3, seed=22)
     assert set(groups.labels.tolist()) == {1, 2, 3}
     assert truth.mu2_true.shape == (6,)
+
+
+@pytest.mark.parametrize("p", [2, 10, 100, 1000])
+def test_numpy_multinomial_is_the_sequential_binomial_draw(p):
+    # generate draws each sample's counts with rng.multinomial: the same
+    # binomials, in the same order, as the oracle's loop, so the counts and
+    # the stream left after them are the same
+    for seed in range(20):
+        probs = dirichlet_draw(np.exp(np.random.default_rng(seed).uniform(0, 3, p)),
+                               np.random.default_rng(seed))
+        for total in (5, 1000, 40_000_000):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            np.testing.assert_array_equal(ours.multinomial(total, probs),
+                                          oracle.multinomial(ref, total, probs))
+            assert ours.random() == ref.random()
