@@ -7,15 +7,22 @@ parent commit's, made with ``git archive``). Its ``zinbreg`` package is
 loaded next to this one, under another name, and both engines run from one
 seed on one simulated data set (n=60, 7 covariates, 2 groups, small counts
 with extra zeros) for 200/100/40 sweeps at p=100/300/1000, one sweep of
-each in turn. For each shape it prints whether the final states and the
-accept counts are identical, the first sweep (counted from 1) after which
-the two states differ and the parameter block that differs first, in the
-order a sweep updates them (``r``, ``mu0``, ``gamma``, ``mu``, ``delta``,
-``beta``, ``phi``, then the accept counts), the largest difference in a
-continuous parameter (mu0, mu, beta, phi), and the median milliseconds per
-sweep of each engine, then each engine's median milliseconds per move
-(``step_r`` ... ``step_phi``, timed inside the same sweeps). The exit
-status is 1 when any shape differs.
+each in turn.
+
+The first run checks the decisions. For each shape it prints whether the
+final states and the accept counts are identical, the first sweep
+(counted from 1) after which the two states differ and the parameter block
+that differs first, in the order a sweep updates them (``r``, ``mu0``,
+``gamma``, ``mu``, ``delta``, ``beta``, ``phi``, then the accept counts),
+and the largest difference in a continuous parameter (mu0, mu, beta, phi).
+
+Each of ``RUNS`` runs times both engines afresh, the other engine
+sweeping first in every other run. Each run gives each engine's
+median milliseconds per sweep and per move (``step_r`` ... ``step_phi``,
+timed inside the same sweeps) and the change between them. The script
+prints the median over runs of each engine's milliseconds, and the median
+change with its range over the runs. The exit status is 1 when any shape
+differs.
 
 Usage:
   PYTHONPATH=src python3 scripts/same_decisions.py PARENT_SRC [--seed 1]
@@ -42,6 +49,8 @@ from zinbreg.sampler import _Engine
 from zinbreg.simulate import generate_zinb
 
 SHAPES = ((100, 200), (300, 100), (1000, 40))  # (p, sweeps)
+# timed runs per shape: one run's per-move medians swing by about 5%
+RUNS = 3
 STEPS = ("step_r", "step_mu0", "step_gamma_mu", "step_delta_beta", "step_phi")
 CONTINUOUS = ("mu0", "mu", "beta", "phi")
 BLOCKS = ("r", "mu0", "gamma", "mu", "delta", "beta", "phi")  # in sweep order
@@ -100,38 +109,53 @@ def first_difference(eng_a, a, eng_b, b) -> str:
     return ""
 
 
-def compare(engines, ds, sf, sweeps: int, seed: int) -> dict:
-    """Run each engine class from one seed, alternating sweeps, and compare
-    the two states after each sweep until they first differ."""
+def compare(engines, ds, sf, sweeps: int, seed: int, runs: int) -> dict:
+    """Run each engine class from one seed, alternating sweeps, ``runs``
+    times; in the first run, compare the two states after each sweep until
+    they first differ. Returns the comparison and, per run, the pair
+    (parent, this) of median milliseconds per sweep and per move."""
     hp, scales = Hyperparameters(), ProposalScales()
-    runs = []
-    for engine_class in engines:
-        eng = engine_class(ds, sf, hp, scales)
-        rng = np.random.default_rng(seed)
-        runs.append((eng, eng.init_state(rng), rng, [], time_steps(eng)))
-    (eng_a, a, _, t_a, steps_a), (eng_b, b, _, t_b, steps_b) = runs
-    diverged = None
-    for sweep in range(1, sweeps + 1):
-        for eng, state, rng, times, _ in runs:
-            start = time.perf_counter()
-            eng.sweep(state, rng)
-            times.append(time.perf_counter() - start)
-        if diverged is None:
-            block = first_difference(eng_a, a, eng_b, b)
-            if block:
-                diverged = (sweep, block)
-    same = not first_difference(eng_a, a, eng_b, b)
-    diff = max(float(np.max(np.abs(getattr(a, f) - getattr(b, f)), initial=0.0))
-               for f in CONTINUOUS)
-    return {
-        "identical": same,
-        "diverged": diverged,
-        "max_diff": diff,
-        "ms_parent": 1e3 * statistics.median(t_a),
-        "ms_this": 1e3 * statistics.median(t_b),
-        "steps": {name: (1e3 * statistics.median(steps_a[name]),
-                         1e3 * statistics.median(steps_b[name])) for name in STEPS},
-    }
+    result = {"runs": []}
+    for run in range(runs):
+        pair = []
+        for engine_class in engines:
+            eng = engine_class(ds, sf, hp, scales)
+            rng = np.random.default_rng(seed)
+            pair.append((eng, eng.init_state(rng), rng, [], time_steps(eng)))
+        (eng_a, a, *_), (eng_b, b, *_) = pair
+        diverged = None
+        for sweep in range(1, sweeps + 1):
+            for eng, state, rng, times, _ in pair if run % 2 == 0 else pair[::-1]:
+                start = time.perf_counter()
+                eng.sweep(state, rng)
+                times.append(time.perf_counter() - start)
+            if run == 0 and diverged is None:
+                block = first_difference(eng_a, a, eng_b, b)
+                if block:
+                    diverged = (sweep, block)
+        if run == 0:
+            result["identical"] = not first_difference(eng_a, a, eng_b, b)
+            result["diverged"] = diverged
+            result["max_diff"] = max(
+                float(np.max(np.abs(getattr(a, f) - getattr(b, f)), initial=0.0))
+                for f in CONTINUOUS
+            )
+        ms = {"sweep": [times for _, _, _, times, _ in pair]}
+        ms.update({name: [steps[name] for *_, steps in pair] for name in STEPS})
+        result["runs"].append(
+            {key: tuple(1e3 * statistics.median(t) for t in both) for key, both in ms.items()}
+        )
+    return result
+
+
+def timing(runs, key: str) -> str:
+    """The median over ``runs`` of the parent's and this engine's
+    milliseconds for ``key``, and the median change with its range."""
+    parent = statistics.median(r[key][0] for r in runs)
+    this = statistics.median(r[key][1] for r in runs)
+    changes = [100.0 * (r[key][1] / r[key][0] - 1.0) for r in runs]
+    return (f"{parent:15.3f}  {this:13.3f}  {statistics.median(changes):+6.1f}%  "
+            f"[{min(changes):+.1f}, {max(changes):+.1f}]")
 
 
 def main(argv=None) -> int:
@@ -142,29 +166,24 @@ def main(argv=None) -> int:
     parent = load_package(args.parent_src.resolve())
     engines = (parent.sampler._Engine, _Engine)
 
-    print("    p  sweeps  identical  first difference      max |diff|   parent ms/sweep  "
-          "this ms/sweep  change")
+    print("    p  sweeps  identical  first difference      max |diff|  "
+          "parent ms/sweep  this ms/sweep  change  range")
     all_same = True
-    steps = []
+    runs = []
     for p, sweeps in SHAPES:
         ds, sf = dataset(p, args.seed)
-        r = compare(engines, ds, sf, sweeps, args.seed)
+        r = compare(engines, ds, sf, sweeps, args.seed, RUNS)
         all_same &= r["identical"]
         where = "-" if r["diverged"] is None else "sweep {}: {}".format(*r["diverged"])
         print(f"{ds.p:5d}  {sweeps:6d}  {'yes' if r['identical'] else 'NO':>9}  "
-              f"{where:<20}  {r['max_diff']:10.3g}  {r['ms_parent']:16.2f}  {r['ms_this']:13.2f}  "
-              f"{change(r['ms_parent'], r['ms_this'])}")
-        steps.append((ds.p, r["steps"]))
-    print("\n    p  move               parent ms/sweep  this ms/sweep  change")
-    for p, per_step in steps:
-        for name, (ms_parent, ms_this) in per_step.items():
-            print(f"{p:5d}  {name:<17}  {ms_parent:15.3f}  {ms_this:13.3f}  "
-                  f"{change(ms_parent, ms_this)}")
+              f"{where:<20}  {r['max_diff']:10.3g}  {timing(r['runs'], 'sweep')}")
+        runs.append((ds.p, r["runs"]))
+    print(f"\n    p  move               parent ms/sweep  this ms/sweep  change  "
+          f"range ({RUNS} runs)")
+    for p, shape_runs in runs:
+        for name in STEPS:
+            print(f"{p:5d}  {name:<17}  {timing(shape_runs, name)}")
     return 0 if all_same else 1
-
-
-def change(ms_parent: float, ms_this: float) -> str:
-    return f"{100.0 * (ms_this / ms_parent - 1.0):+6.1f}%"
 
 
 if __name__ == "__main__":

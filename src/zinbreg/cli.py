@@ -485,15 +485,10 @@ def _load_pool(cfg: RunConfig):
         raise UsageError("--pool-covariates requires --pool-groups")
     pool_cov, pool_samples = zio.read_covariates(cfg.pool_covariates)
     pool_grp, grp_samples = zio.read_groups(cfg.pool_groups)
-    if pool_samples != grp_samples:
-        order = {sid: i for i, sid in enumerate(grp_samples)}
-        try:
-            idx = [order[sid] for sid in pool_samples]
-        except KeyError as exc:
-            raise UsageError(f"pool sample {exc.args[0]!r} missing group label") from exc
-        pool_grp = GroupAssignment(
-            pool_grp.labels[idx], pool_grp.n_groups, pool_grp.reference_group
-        )
+    order = zio.sample_order(pool_samples, grp_samples, "pool groups", "pool covariates")
+    pool_grp = GroupAssignment(
+        pool_grp.labels[order], pool_grp.n_groups, pool_grp.reference_group
+    )
     return pool_cov, pool_grp
 
 
@@ -622,7 +617,7 @@ def _write_roc_files(out_dir: Path, rep: int, summary: PosteriorSummary, truth: 
     if truth.delta_true.size:
         pairs.append(("delta", summary.ppi_delta.ravel(), truth.delta_true.ravel()))
     for name, scores, labels in pairs:
-        if len(np.unique(np.asarray(labels).astype(bool))) < 2:
+        if len(set(labels.tolist())) < 2:
             continue
         fpr, tpr = roc_points(scores, labels)
         zio.write_table(

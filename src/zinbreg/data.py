@@ -137,7 +137,7 @@ class GroupAssignment:
         k = int(self.n_groups)
         if k < 1:
             raise DataError("need at least one group")
-        present = set(np.unique(labels).tolist())
+        present = set(labels.tolist())
         if not present.issubset(set(range(1, k + 1))):
             raise DataError(f"labels outside 1..{k}: {sorted(present)}")
         if present != set(range(1, k + 1)):

@@ -35,28 +35,33 @@ def _two_classes(scores, truth) -> tuple[np.ndarray, np.ndarray, int, int]:
     return scores, truth, n_pos, n_neg
 
 
-def roc_auc(scores: np.ndarray, truth: np.ndarray) -> float:
-    """Rank-based (Mann-Whitney) area under the ROC curve with midrank
-    handling of tied scores."""
+def _roc_counts(scores, truth) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The ROC sweep over the distinct score values, highest first: the
+    true and false positive counts at each, from (0, 0), with the counts of
+    positives and negatives."""
     scores, truth, n_pos, n_neg = _two_classes(scores, truth)
-    # midrank of each distinct score: ranks before it plus (count + 1) / 2
-    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
-    return float((ranks[truth].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    order = np.argsort(-scores, kind="stable")
+    # keep only the last point of each tied-score run
+    last = np.append(scores[order][1:] != scores[order][:-1], True)
+    tp = np.concatenate([[0], np.cumsum(truth[order])[last]])
+    fp = np.concatenate([[0], np.cumsum(~truth[order])[last]])
+    return tp, fp, n_pos, n_neg
+
+
+def roc_auc(scores: np.ndarray, truth: np.ndarray) -> float:
+    """Area under the ROC curve: the Mann-Whitney ratio, a tied pair
+    counting one half. The trapezoids of the sweep's integer counts sum to
+    twice its numerator exactly, ``sum dfp*(tp_i + tp_(i-1))``, so the one
+    division rounds the ratio correctly."""
+    tp, fp, n_pos, n_neg = _roc_counts(scores, truth)
+    return int(np.dot(np.diff(fp), tp[1:] + tp[:-1])) / (2 * n_pos * n_neg)
 
 
 def roc_points(scores: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ROC coordinates (fpr, tpr) swept over the distinct score values,
     from (0, 0) to (1, 1)."""
-    scores, truth, n_pos, n_neg = _two_classes(scores, truth)
-    order = np.argsort(-scores, kind="stable")
-    tp = np.cumsum(truth[order])
-    fp = np.cumsum(~truth[order])
-    # keep only the last point of each tied-score run
-    last = np.append(scores[order][1:] != scores[order][:-1], True)
-    tpr = np.concatenate([[0.0], tp[last] / n_pos])
-    fpr = np.concatenate([[0.0], fp[last] / n_neg])
-    return fpr, tpr
+    tp, fp, n_pos, n_neg = _roc_counts(scores, truth)
+    return fp / n_neg, tp / n_pos
 
 
 def confusion_counts(selected: np.ndarray, truth: np.ndarray) -> tuple[int, int, int, int]:

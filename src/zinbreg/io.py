@@ -23,6 +23,7 @@ __all__ = [
     "read_counts",
     "read_covariates",
     "read_groups",
+    "sample_order",
     "align_to_counts",
     "write_counts",
     "write_covariates",
@@ -171,6 +172,26 @@ def read_groups(path) -> tuple[GroupAssignment, tuple[str, ...]]:
     return GroupAssignment(labels, n_groups=k), tuple(sample_ids)
 
 
+def sample_order(
+    sample_ids: tuple[str, ...], ids: tuple[str, ...], name: str, base: str = "counts"
+) -> list[int]:
+    """The row of the table ``name``, whose rows are the samples ``ids``, of
+    each of ``sample_ids``, the samples of ``base``: the join on sample_id.
+    Raises ``UnalignedSampleIds`` on a sample listed twice in ``ids`` or on
+    one side only."""
+    index = {sid: i for i, sid in enumerate(ids)}
+    if len(index) != len(ids):
+        raise UnalignedSampleIds(f"duplicate sample ids in {name}")
+    missing = [sid for sid in sample_ids if sid not in index]
+    if missing:
+        raise UnalignedSampleIds(f"sample {missing[0]!r} missing from {name}")
+    known = set(sample_ids)
+    extra = [sid for sid in ids if sid not in known]
+    if extra:
+        raise UnalignedSampleIds(f"sample {extra[0]!r} in {name} but not in {base}")
+    return [index[sid] for sid in sample_ids]
+
+
 def align_to_counts(
     counts: CountMatrix,
     covariates: CovariateMatrix,
@@ -180,20 +201,8 @@ def align_to_counts(
 ) -> tuple[CovariateMatrix, GroupAssignment]:
     """Reorder covariate and group rows to the count matrix's sample order,
     joining on sample_id."""
-    known = set(counts.sample_ids)
-    orders = []
-    for name, ids in (("covariates", covariate_samples), ("groups", group_samples)):
-        index = {sid: i for i, sid in enumerate(ids)}
-        if len(index) != len(ids):
-            raise UnalignedSampleIds(f"duplicate sample ids in {name}")
-        missing = [sid for sid in counts.sample_ids if sid not in index]
-        if missing:
-            raise UnalignedSampleIds(f"sample {missing[0]!r} missing from {name}")
-        extra = [sid for sid in ids if sid not in known]
-        if extra:
-            raise UnalignedSampleIds(f"sample {extra[0]!r} in {name} but not in counts")
-        orders.append([index[sid] for sid in counts.sample_ids])
-    cov_order, grp_order = orders
+    cov_order = sample_order(counts.sample_ids, covariate_samples, "covariates")
+    grp_order = sample_order(counts.sample_ids, group_samples, "groups")
     covariates = CovariateMatrix(
         covariates.values[cov_order], covariates.covariate_ids, covariates.standardized
     )

@@ -34,9 +34,10 @@ The slab priors on group shifts and covariate effects are the
 marginalized scaled-t densities ``t_{2a}(0, b/a)`` obtained by
 integrating a normal slab against its shared inverse-gamma variance.
 
-The t-density constants come from ``math.lgamma``; the sampler takes the
-vectorized log-gamma terms from the package's own ``special.lgamma``, so
-the package needs numpy alone.
+The t-density constants come from ``math.lgamma``. The sampler takes the
+dispersion terms of small counts as sums of ``log(phi + k)``, ``k < y``,
+and those of larger counts from the Stirling series of the package's own
+``special.lgamma``, so the package needs numpy alone.
 """
 
 from __future__ import annotations

@@ -30,9 +30,11 @@ sums. ``_Engine`` keeps a cache of the current state:
   the unclipped log odds ``M`` (``log_odds``), its softplus ``sp`` and the
   weights ``w = active*(y + phi)``;
 * per feature: ``G = sum of lgamma(y + phi) - lgamma(phi)`` over its
-  nonzero counts (the terms vanish at a zero count);
+  nonzero counts (the terms vanish at a zero count); at a count up to
+  ``C = _SMALL_COUNT`` the term is ``sum of log(phi + k), k < y``;
 * constants of the data: each feature's count sums, in total, per group
-  (``y_group``) and against each covariate (``y_x``).
+  (``y_group``) and against each covariate (``y_x``), and its table of
+  the counts up to C (``n_small``).
 
 A mean move shifts ``M`` by its change in the log mean. The count term of
 its log likelihood ratio is then the shift times the matching count sum,
@@ -46,7 +48,7 @@ prior ratio; ``_walk`` shifts the gathered log-odds rows by the step
 commits and counts. The extra-zero step reads the cached softplus at the
 zero cells, where the log mass is ``-phi*sp``. The dispersion move shifts
 ``M`` by ``-(log phi' - log phi)``, moves the weights with ``phi`` and
-takes ``lgamma`` on the nonzero counts and the p dispersions only. A move
+takes the (p, C) logs, and ``lgamma`` at the counts above C only. A move
 copies its accepted rows into the cache, and the log posterior is a sum
 over the cache plus the priors. The likelihood of a move goes through
 ``_ratio`` and ``_commit`` alone: in a prior-only chain the first gives a
@@ -71,8 +73,8 @@ A move's per-cell arithmetic allocates nothing. ``_Engine`` owns four
 flat float64 scratch buffers, allocated once, and every move writes into
 them: its proposal's log odds, their softplus, the rows of data and cache
 it gathers, the blocks it builds its shift from, the differences of its
-ratio, the ``lgamma`` arguments of the dispersion sums and the rows it
-commits. A block move (features x samples) uses the first
+ratio, the ``lgamma`` arguments and logs of the dispersion sums and the
+rows it commits. A block move (features x samples) uses the first
 features*samples elements of a buffer, reshaped. What a move still
 allocates is per feature. The cache never points into scratch: ``attach``
 builds it in fresh arrays, and a move copies its accepted rows into the
@@ -87,7 +89,7 @@ on, and writes its shift changes in one vectorized step afterwards.
 Tests drive ``_Engine`` directly, one step at a time.
 
 The special functions come from the package's own ``special.py``: the
-vectorized ``lgamma`` for the dispersion sums and ``sum lgamma(y + 1)``,
+Stirling-series ``lgamma`` (arguments of 8 and more) at the large counts,
 ``betaln`` (through ``math.lgamma``) for the collapsed indicator priors,
 and the normal CDF ``ndtr`` for the dispersion proposal's truncation
 correction. That proposal, a normal walk truncated to ``phi > 0``, is
@@ -123,6 +125,13 @@ __all__ = [
 ]
 
 THREADS_ENV_VAR = "ZINBREG_THREADS"
+
+
+# counts up to C = _SMALL_COUNT take their dispersion terms from a
+# per-feature table; any C >= 8 keeps lgamma's arguments y + phi, y > C,
+# above 8
+_SMALL_COUNT = 16
+_RISING = np.arange(float(_SMALL_COUNT))  # phi (phi+1) ... (phi+C-1)
 
 
 def _view(buf, shape) -> np.ndarray:
@@ -289,14 +298,17 @@ class _Engine:
         input_order = np.argsort(self.zero_in)
         self.zero_draw = np.empty_like(input_order)
         self.zero_draw[input_order] = np.arange(input_order.size)
-        # nonzero cells: their features and counts
-        nz_flat = np.flatnonzero(self.yf)
-        self.nz_feat = nz_flat // n
-        self.nz_y = self.yf.ravel()[nz_flat]
-        # sum of lgamma(y + 1) over the cells not flagged as extra zeros:
-        # only zero cells can be flagged and they add nothing, so it is a
-        # constant of the data
-        self.log_y_fact = float(lgamma(self.yf + 1.0).sum())
+        # nonzero counts: those up to C = _SMALL_COUNT as a table,
+        # n_small[j, k] = the number of feature j's counts in (k, C], and
+        # the larger ones as flat (feature, count) arrays
+        small = np.where(self.yf <= _SMALL_COUNT, self.yf, 0.0)
+        self.n_small = np.stack(
+            [np.count_nonzero(small > k, axis=1) for k in range(_SMALL_COUNT)], axis=1
+        ).astype(np.float64)
+        large = np.flatnonzero(self.yf > _SMALL_COUNT)
+        self.large_feat = large // n
+        self.large_y = self.yf.ravel()[large]
+        self.n_large = np.bincount(self.large_feat, minlength=p).astype(np.float64)
         self.hp = hp
         self.prior_only = prior_only
         self.t_df = 2.0 * hp.a_t
@@ -333,20 +345,24 @@ class _Engine:
         self.w: np.ndarray | None = None         # active*(y + phi)
         # and per feature: sum of lgamma(y + phi) - lgamma(phi), y > 0
         self.G: np.ndarray | None = None
-        # scratch: four flat buffers of (n + 1) p elements, room for the n p
-        # cells and for the dispersion sums' lgamma arguments (one per
-        # nonzero cell and one per feature)
-        self._scratch = np.empty((4, (n + 1) * p))
+        # scratch: four flat buffers of max(n, C) p elements, room for the
+        # n p cells, for the dispersion sums' lgamma arguments (one per
+        # count above C) and for their (p, C) logs
+        self._scratch = np.empty((4, max(n, _SMALL_COUNT) * p))
         (
             self._lm_new,   # the proposal's log odds
             self._sp_new,   # their softplus; lgamma values
             self._work1,    # gathered rows, shift blocks, differences,
-            self._work2,    # lgamma arguments and working space, commits
+            self._work2,    # lgamma arguments and working space, logs, commits
         ) = self._scratch
         # the last proposal's log odds and softplus, and its dispersion
         # sums, for ``_commit``
         self._proposal: tuple[np.ndarray, np.ndarray] | None = None
         self._G_new: np.ndarray | None = None
+        # sum of lgamma(y + 1) over the cells not flagged as extra zeros:
+        # only zero cells can be flagged and they add nothing, so it is a
+        # constant of the data, the dispersion sums at phi = 1
+        self.log_y_fact = float(self._dispersion_sums(np.ones(p)).sum())
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -377,19 +393,20 @@ class _Engine:
     def _dispersion_sums(self, phi) -> np.ndarray:
         """Per feature, the sum of ``lgamma(y + phi) - lgamma(phi)`` over its
         nonzero counts, at the dispersions ``phi``: the NB log mass's terms
-        in the dispersion alone, which are exactly 0 at a zero count. One
-        ``lgamma`` call on the nonzero counts and the p dispersions, through
-        the ``_sp_new`` and work scratch."""
-        feats, nnz = self.nz_feat, self.nz_feat.size
-        size = nnz + self.p
-        arg = self._work1[:size]
-        np.take(phi, feats, out=arg[:nnz], mode="clip")
-        arg[:nnz] += self.nz_y
-        arg[nnz:] = phi
-        lg = lgamma(arg, out=self._sp_new[:size], work=self._work2[:size])
-        nz = lg[:nnz]
-        nz -= np.take(lg[nnz:], feats, out=arg[:nnz], mode="clip")
-        return np.bincount(feats, weights=nz, minlength=self.p)
+        in the dispersion alone, which are exactly 0 at a zero count. The
+        counts up to C take the log of the rising product ``phi (phi+1) ...
+        (phi+y-1)``, from the (p, C) logs and their table; the larger ones
+        take ``lgamma`` at ``y + phi`` (above 8) and ``math.lgamma`` at the
+        p dispersions. Through the ``_sp_new`` and work scratch."""
+        logs = np.add(phi[:, None], _RISING, out=_view(self._work2, self.n_small.shape))
+        sums = np.einsum("jk,jk->j", self.n_small, np.log(logs, out=logs))
+        sums -= self.n_large * np.fromiter(map(math.lgamma, phi.tolist()), np.float64, self.p)
+        feats, m = self.large_feat, self.large_feat.size
+        arg = np.take(phi, feats, out=self._work1[:m], mode="clip")
+        arg += self.large_y
+        lg = lgamma(arg, out=self._sp_new[:m], work=self._work2[:m])
+        sums += np.bincount(feats, weights=lg, minlength=self.p)
+        return sums
 
     def _ratio(self, proposal, feats=None, span=slice(None), phi=None):
         """Per-feature log likelihood ratio of a move's proposal, on the

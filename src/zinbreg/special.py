@@ -1,9 +1,8 @@
 """The special functions the model needs, from numpy and the standard library.
 
-* ``lgamma(x)``: vectorized log-gamma for ``x > 0``, by the Stirling series
-  at ``x`` for ``x >= 8``, and below that at ``x + 8`` with the recurrence
-  ``lgamma(x) = lgamma(x + 8) - log(x (x+1) ... (x+7))``. It serves the
-  negative binomial's dispersion terms and ``lgamma(y + 1)``;
+* ``lgamma(x)``: vectorized log-gamma for ``x >= 8``, by the Stirling
+  series. It serves the negative binomial's dispersion terms at counts
+  above the sampler's small-count table, where ``y + phi`` exceeds 8;
 * ``betaln(a, b)``: scalar log Beta function, from ``math.lgamma``;
 * ``ndtr(x)``: standard normal CDF, ``erfc(-x/sqrt(2))/2`` from
   ``math.erfc``, which keeps its relative precision in the lower tail.
@@ -44,14 +43,20 @@ _STIRLING = (
     -1.0 / 360.0,
     1.0 / 12.0,
 )
-_SHIFT = 8.0
-_RISING = np.arange(_SHIFT)  # x (x+1) ... (x+7) = prod(x + _RISING)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _stirling(z, out, buf) -> np.ndarray:
-    """lgamma of the 1-d array ``z`` by its Stirling series, accurate for
-    z >= 8, into ``out``, with ``buf`` as working space (both of z's size)."""
+def lgamma(x, out=None, work=None) -> np.ndarray:
+    """Log-gamma of each element of ``x``, all at least 8, by the Stirling
+    series (below 8 it is inaccurate). ``out`` and ``work``, when given, are
+    float64 arrays of x's shape: the result is written into ``out`` and
+    ``work`` is overwritten. Fresh arrays of that size cost more in page
+    faults than the arithmetic, so a caller that evaluates lgamma often
+    passes the same two each time.
+    """
+    z = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(z) if out is None else out
+    buf = np.empty_like(z) if work is None else work
     np.multiply(z, z, out=buf)
     np.divide(1.0, buf, out=buf)
     _horner(_STIRLING, buf, out)
@@ -68,45 +73,6 @@ def _stirling(z, out, buf) -> np.ndarray:
     log_z *= z
     out += log_z
     return out
-
-
-def lgamma(x, out=None, work=None) -> np.ndarray:
-    """Log-gamma of each element of ``x`` (positive finite reals).
-
-    ``out`` and ``work``, when given, are contiguous float64 arrays of x's
-    size: the result is written into ``out`` (and returned in x's shape),
-    and ``work`` is overwritten. Fresh arrays of that size cost more in
-    page faults than the arithmetic, so a caller that evaluates lgamma
-    often passes the same two each time.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    shape = x.shape
-    x = x.ravel()  # in-place steps need arrays, not 0-d scalars
-    out = np.empty_like(x) if out is None else out.reshape(x.size)
-    work = np.empty_like(x) if work is None else work.reshape(x.size)
-    # every element takes the series; those below the shift, where it is
-    # inaccurate (and may overflow), are then replaced from the recurrence
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        _stirling(x, out, work)
-    small = x < _SHIFT
-    xs = x[small]
-    m = xs.size
-    # three working arrays of the small elements' count, from ``work`` when
-    # it has room
-    pool = work if 3 * m <= work.size else np.empty(3 * m)
-    prod, tmp, buf = pool[: 3 * m].reshape(3, m)
-    # x (x+1) ... (x+7), multiplied in that order
-    np.add(xs, 1.0, out=prod)
-    prod *= xs
-    for k in _RISING[2:]:
-        np.add(xs, k, out=tmp)
-        prod *= tmp
-    np.log(prod, out=prod)
-    xs += _SHIFT
-    _stirling(xs, tmp, buf)
-    tmp -= prod
-    out[small] = tmp
-    return out.reshape(shape)
 
 
 def betaln(a: float, b: float) -> float:

@@ -2,10 +2,10 @@
 
 Everything here is written as directly as possible (explicit sorts,
 loops, quadrature, pairwise enumeration) and stays independent of the
-library code paths it checks. The exceptions are ``nb_phi_terms``,
-``nb_log_pmf`` and ``zinb_log_pmf``: full NB and ZINB masses assembled
-from ``nb_kernel`` and the package's ``lgamma``, which the tests hold
-against the direct forms here and scipy's.
+library code paths it checks. ``nb_phi_terms``, ``nb_log_pmf`` and
+``zinb_log_pmf`` assemble full NB and ZINB masses from ``nb_kernel`` and
+scipy's ``gammaln``, which the tests hold against the direct forms here
+and scipy's distributions.
 """
 
 import math
@@ -16,7 +16,6 @@ from scipy import integrate, stats
 from scipy.special import betaln, gammaln
 
 from zinbreg.errors import DataError, DomainError
-from zinbreg.special import lgamma
 
 
 class InconsistentZeroIndicator(DataError):
@@ -212,15 +211,15 @@ def nb_kernel(y, loglam, phi):
 
 
 def nb_phi_terms(y, phi):
-    """Part of the NB log mass that depends on the dispersion alone, by the
-    package's ``lgamma``, on the full grid."""
-    return lgamma(y + phi) - lgamma(phi) + phi * np.log(phi)
+    """Part of the NB log mass that depends on the dispersion alone, by
+    scipy's ``gammaln``, on the full grid."""
+    return gammaln(y + phi) - gammaln(phi) + phi * np.log(phi)
 
 
 def nb_log_pmf(y, lam, phi):
     """Log mass of the negative binomial with mean ``lam`` and dispersion
-    ``1/phi`` at count ``y``, assembled from ``nb_kernel`` and the
-    package's ``lgamma``; the tests check it against ``nb_pmf_direct`` and scipy.
+    ``1/phi`` at count ``y``, assembled from ``nb_kernel`` and scipy's
+    ``gammaln``; the tests check it against ``nb_pmf_direct`` and scipy.
 
     Accepts scalars or broadcastable arrays; raises ``DomainError`` when
     ``lam`` or ``phi`` is not strictly positive or ``y`` is not a
@@ -235,7 +234,7 @@ def nb_log_pmf(y, lam, phi):
         raise DomainError("phi must be strictly positive and finite")
     if np.any(y < 0) or np.any(y != np.floor(y)):
         raise DomainError("y must be a non-negative integer")
-    out = nb_kernel(y, np.log(lam), phi) + nb_phi_terms(y, phi) - lgamma(y + 1.0)
+    out = nb_kernel(y, np.log(lam), phi) + nb_phi_terms(y, phi) - gammaln(y + 1.0)
     return out if out.ndim else float(out)
 
 

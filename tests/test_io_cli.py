@@ -535,7 +535,9 @@ def test_default_max_workers_follows_env_then_affinity(monkeypatch):
     assert sampler.default_max_workers() == 8
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def _python_stdout(code: str) -> str:
+    """The standard output of ``code`` run by a fresh interpreter that
+    imports this package."""
     import os
     import subprocess
     import sys
@@ -543,21 +545,18 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     import zinbreg
 
     env = dict(os.environ, PYTHONPATH=str(Path(zinbreg.__file__).parents[1]))
-    code = "import sys, zinbreg.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, zinbreg.cli; print('scipy.stats' in sys.modules)"
+    assert _python_stdout(code).strip() == "False"
 
 
 def test_no_scipy_module_is_loaded_by_import_or_fit(tiny_files, tmp_path):
-    import os
-    import subprocess
-    import sys
-
-    import zinbreg
-
     src, *_ = tiny_files
-    env = dict(os.environ, PYTHONPATH=str(Path(zinbreg.__file__).parents[1]))
     # one worker, so the chains run in this process and a lazy import shows
     args = _fit_args(src, tmp_path / "fit", ["--iterations", "20", "--threads", "1"])
     code = f"""
@@ -569,12 +568,31 @@ print(scipy_modules())
 code = zinbreg.cli.main({args!r})
 print(code, scipy_modules())
 """
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    after_import, after_fit = out.stdout.splitlines()
+    after_import, after_fit = _python_stdout(code).splitlines()
     assert after_import == "[]"
     assert after_fit.split(" ", 1)[1] == "[]"
     assert (tmp_path / "fit" / "ppi_gamma.csv").exists()
+
+
+def test_simulate_and_evaluate_leave_numpy_ma_unloaded(tiny_files, tmp_path):
+    # numpy imports numpy.ma at its first np.unique call; fit and sim-study
+    # make one inside np.quantile and np.percentile, these two make none
+    src, *_ = tiny_files
+    fit = tmp_path / "fit"
+    assert main(_fit_args(src, fit, ["--iterations", "20", "--threads", "1"])) in (0, 3)
+    commands = [
+        _simulate_args(tmp_path / "sim"),
+        ["evaluate", "--fit-dir", str(fit), "--truth", str(src / "truth.csv"),
+         "--out", str(tmp_path / "score")],
+    ]
+    code = f"""
+import sys
+import zinbreg.cli
+codes = [zinbreg.cli.main(args) for args in {commands!r}]
+print(codes, "numpy.ma" in sys.modules)
+"""
+    assert _python_stdout(code).strip() == "[0, 0] False"
+    assert (tmp_path / "score" / "score_report.csv").exists()
 
 
 def test_sim_study_bad_sim_config_is_usage_error(tmp_path, capsys):
@@ -680,10 +698,25 @@ def test_simulate_realigns_pool_groups_by_sample_id(tmp_path):
         assert {tuple(row) for row in half} <= {tuple(row) for row in members}
 
 
-def test_simulate_pool_sample_without_a_group_label_is_a_usage_error(tmp_path, capsys):
+def test_simulate_pool_sample_without_a_group_label_is_a_data_error(tmp_path, capsys):
     pool = _pool_files(tmp_path / "pool", range(15))
-    assert main(_simulate_args(tmp_path / "sim", *pool)) == 1
-    assert "pool sample 's15' missing group label" in capsys.readouterr().err
+    assert main(_simulate_args(tmp_path / "sim", *pool)) == 2
+    assert "sample 's15' missing from pool groups" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("s0,2", "duplicate sample ids in pool groups"),
+    ("zz,1", "sample 'zz' in pool groups but not in pool covariates"),
+])
+def test_simulate_pool_groups_join_the_pool_one_to_one(tmp_path, capsys, row, message):
+    # a sample listed twice, or one the pool does not hold, is refused as
+    # it is for fit's groups
+    pool = _pool_files(tmp_path / "pool", range(16))
+    with open(tmp_path / "pool" / "pool_groups.csv", "a", encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    assert main(_simulate_args(tmp_path / "sim", *pool)) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "sim" / "counts.csv").exists()
 
 
 def test_simulate_pool_covariates_need_pool_groups(tmp_path, capsys):

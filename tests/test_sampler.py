@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
-from conftest import small_dataset
+from conftest import make_counts, small_dataset
 from zinbreg.data import (
     CountMatrix,
     CovariateMatrix,
@@ -22,6 +22,7 @@ from zinbreg.normalization import SizeFactors, estimate_css
 from zinbreg.sampler import (
     ChainConfig,
     ModelState,
+    _SMALL_COUNT,
     _Engine,
     _truncated_walk,
     chain_pool,
@@ -707,16 +708,18 @@ def test_moves_evaluate_the_kernel_once(monkeypatch):
 
     monkeypatch.setattr(sampler, "softplus", counting("softplus", sampler.softplus))
     monkeypatch.setattr(sampler, "lgamma", counting("lgamma", sampler.lgamma))
-    ds = small_dataset(seed=97)
+    # counts up to 27, on both sides of the small-count table's cutoff
+    small = small_dataset(seed=97)
+    ds = validate_inputs(make_counts(3 * small.counts.counts), small.covariates, small.groups)
     eng, state = _start(ds, 5)
     rng = np.random.default_rng(6)
     eng.sweep(state, rng)
     np_cells = ds.n * ds.p
-    # the dispersion sums take lgamma at the nonzero counts and once per
-    # feature; at a zero count their lgamma pair cancels exactly. The
+    # the dispersion sums take lgamma at the counts above the table's
+    # cutoff alone; at a zero count their terms are exactly 0. The
     # extra-zero step reads the cached softplus.
-    phi_cells = int(np.count_nonzero(ds.counts.counts)) + ds.p
-    assert phi_cells < np_cells
+    phi_cells = int(np.count_nonzero(ds.counts.counts > _SMALL_COUNT))
+    assert 0 < phi_cells < np.count_nonzero(ds.counts.counts)
     for name, call, softplus_cells, lgamma_cells in (
         ("log_posterior", lambda: eng.log_posterior(state), 0, 0),
         ("step_r", lambda: eng.step_r(state, rng), 0, 0),
@@ -728,22 +731,37 @@ def test_moves_evaluate_the_kernel_once(monkeypatch):
         assert cells == {"softplus": softplus_cells, "lgamma": lgamma_cells}, name
 
 
+def _straddling_dataset(p=8):
+    """Each feature takes every count of 0, 1 ... C + 1 and 10**6 once, C
+    being the small-count table's cutoff, in a rotated order."""
+    values = np.array([0, *range(1, _SMALL_COUNT + 2), 10**6])
+    n = values.size
+    base = small_dataset(seed=73, n=n, p=p)
+    y = values[(np.arange(n)[:, None] + np.arange(p)) % n]
+    return validate_inputs(make_counts(y), base.covariates, base.groups)
+
+
 def test_phi_terms_equal_the_full_matrix_form():
-    ds = _three_group_dataset(seed=71)
-    y = ds.counts.counts
-    assert 0 < np.count_nonzero(y == 0) < y.size
-    eng = _engine(ds)
-    phi = np.random.default_rng(4).uniform(0.05, 50.0, ds.p)[:, None]
-    # the full grid's dispersion terms less phi*log(phi), summed per
-    # feature: each cell rounds its three terms, and the sums round once
-    # per cell
-    full = oracle.nb_phi_terms(eng.yf, phi) - phi * np.log(phi)
-    scale = (np.abs(oracle.lgamma(eng.yf + phi)) + np.abs(oracle.lgamma(phi))
-             + np.abs(phi * np.log(phi)) + np.abs(full))
-    got = eng._dispersion_sums(phi[:, 0])
-    assert np.all(
-        np.abs(got - full.sum(axis=1)) <= 8 * np.finfo(float).eps * scale.sum(axis=1)
-    )
+    three = _three_group_dataset(seed=71)
+    straddling = _straddling_dataset()
+    for ds, phi in (
+        (three, np.random.default_rng(4).uniform(0.05, 50.0, three.p)),
+        (straddling, np.geomspace(1e-3, 1e4, straddling.p)),
+    ):
+        y = ds.counts.counts
+        assert 0 < np.count_nonzero(y == 0) < y.size
+        eng = _engine(ds)
+        phi = phi[:, None]
+        # the full grid's dispersion terms less phi*log(phi), summed per
+        # feature: each cell rounds its three terms, and the sums round once
+        # per cell
+        full = oracle.nb_phi_terms(eng.yf, phi) - phi * np.log(phi)
+        scale = (np.abs(oracle.gammaln(eng.yf + phi)) + np.abs(oracle.gammaln(phi))
+                 + np.abs(phi * np.log(phi)) + np.abs(full))
+        got = eng._dispersion_sums(phi[:, 0])
+        assert np.all(
+            np.abs(got - full.sum(axis=1)) <= 8 * np.finfo(float).eps * scale.sum(axis=1)
+        )
 
 
 def _oracle_ratio(ds, sf, state, proposed):
