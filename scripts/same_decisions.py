@@ -5,9 +5,9 @@ and time the two side by side.
 PARENT_SRC is the ``src`` directory of another checkout (for example the
 parent commit's, made with ``git archive``). Its ``zinbreg`` package is
 loaded next to this one, under another name, and both engines run from one
-seed on one simulated data set (n=60, 7 covariates, 2 groups, small counts
-with extra zeros) for 200/100/40 sweeps at p=100/300/1000, one sweep of
-each in turn.
+seed on one data set from ``tests/_zinb.py``'s generator (n=60, 7
+covariates, 2 groups, small counts with extra zeros) for 200/100/40 sweeps
+at p=100/300/1000, one sweep of each in turn.
 
 The first run checks the decisions. For each shape it prints whether the
 final states and the accept counts are identical, the first sweep
@@ -46,7 +46,10 @@ from zinbreg.data import (
 )
 from zinbreg.normalization import estimate_css
 from zinbreg.sampler import _Engine
-from zinbreg.simulate import generate_zinb
+
+# the ZINB generator lives beside the tests that also use it
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from _zinb import generate_zinb  # noqa: E402
 
 SHAPES = ((100, 200), (300, 100), (1000, 40))  # (p, sweeps)
 # timed runs per shape: one run's per-move medians swing by about 5%
@@ -71,7 +74,7 @@ def load_package(src: Path, name: str = "zinbreg_parent"):
 
 
 def dataset(p: int, seed: int):
-    counts, covariates, groups, _ = generate_zinb(
+    counts, covariates, groups, _, _ = generate_zinb(
         n=60, p=p, n_disc=max(1, p // 50), n_covariates=7, m_active=4,
         pi_zero=0.3, phi=2.0, mu0_low=1.5, mu0_high=5.0, shift_size=1.5, seed=seed,
     )

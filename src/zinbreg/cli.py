@@ -24,6 +24,7 @@ counters are appended as comment lines at the end of the file).
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import typing
 from dataclasses import dataclass, field, fields
@@ -397,20 +398,19 @@ def _dump_traces(out_dir: Path, traces) -> None:
     for idx, trace in enumerate(traces):
         if trace.diagnostics is None:
             continue
-        path = out_dir / f"trace_chain{idx}.csv"
         diag = trace.diagnostics
-        zio.write_table(
-            path, ["iteration", "log_posterior", "sum_gamma"],
-            ([i, format(lp, ".10g"), s] for i, lp, s in zip(
-                diag["iteration"].tolist(), diag["log_posterior"].tolist(),
-                diag["sum_gamma"].tolist())),
+        sweeps = ([i, format(lp, ".10g"), s] for i, lp, s in zip(
+            diag["iteration"].tolist(), diag["log_posterior"].tolist(),
+            diag["sum_gamma"].tolist()))
+        # one-field rows, which csv writes unquoted
+        accepts = (
+            [f"# accept {move} = {trace.accept_counts[move]}/{trace.proposal_counts[move]}"]
+            for move in sorted(trace.proposal_counts)
         )
-        with open(path, "a", newline="", encoding="utf-8") as fh:
-            for move in sorted(trace.proposal_counts):
-                fh.write(
-                    f"# accept {move} = {trace.accept_counts[move]}"
-                    f"/{trace.proposal_counts[move]}\n"
-                )
+        zio.write_table(
+            out_dir / f"trace_chain{idx}.csv", ["iteration", "log_posterior", "sum_gamma"],
+            itertools.chain(sweeps, accepts),
+        )
 
 
 def fit_command(cfg: RunConfig) -> int:
@@ -492,10 +492,7 @@ def _load_pool(cfg: RunConfig):
     return pool_cov, pool_grp
 
 
-_SCORE_FIELDS = (
-    "auc_gamma", "auc_delta", "mcc", "sensitivity", "specificity",
-    "fdr_empirical", "fpr_delta", "tp", "tn", "fp", "fn",
-)
+_SCORE_FIELDS = tuple(f.name for f in fields(ScoreReport))
 
 
 def _score_row(report: ScoreReport) -> list[str]:
@@ -518,10 +515,8 @@ def evaluate_command(cfg: RunConfig) -> int:
     truth = SimTruth(
         gamma_true=gamma_true,
         delta_true=(beta_true != 0).astype(np.int8),
-        mu0_true=np.zeros(len(t_feat)),
         mu2_true=mu2_true,
         beta_true=beta_true,
-        structural_zero_mask=np.zeros((2, len(t_feat)), dtype=np.int8),
     )
     report = score_run(summary, truth)
     zio.write_table(

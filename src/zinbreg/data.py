@@ -7,7 +7,7 @@ concurrently running chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -85,11 +85,10 @@ class CountMatrix:
 
 @dataclass(frozen=True)
 class CovariateMatrix:
-    """n x R real design matrix. Columns may be standardized (mean 0, sd 1)."""
+    """n x R real design matrix."""
 
     values: np.ndarray
     covariate_ids: tuple[str, ...]
-    standardized: bool = False
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -106,11 +105,6 @@ class CovariateMatrix:
             )
         if len(set(self.covariate_ids)) != values.shape[1]:
             raise DataError("covariate ids must be unique")
-        if self.standardized and values.shape[1] > 0:
-            mean = values.mean(axis=0)
-            sd = values.std(axis=0, ddof=1)
-            if np.any(np.abs(mean) >= 1e-8) or np.any(np.abs(sd - 1.0) >= 1e-6):
-                raise DataError("standardized flag set but columns are not standardized")
 
     @property
     def n(self) -> int:
@@ -268,13 +262,13 @@ def standardize_covariates(covariates: CovariateMatrix) -> CovariateMatrix:
     """Center each column and scale it to unit sample standard deviation."""
     values = covariates.values
     if values.shape[1] == 0:
-        return replace(covariates, standardized=True)
+        return covariates
     const = _constant_columns(values)
     if np.any(const):
         bad = [covariates.covariate_ids[i] for i in np.flatnonzero(const)]
         raise ConstantCovariate(f"cannot standardize constant column(s): {', '.join(bad)}")
     out = (values - values.mean(axis=0)) / values.std(axis=0, ddof=1)
-    return CovariateMatrix(out, covariates.covariate_ids, standardized=True)
+    return CovariateMatrix(out, covariates.covariate_ids)
 
 
 def filter_low_abundance(

@@ -11,7 +11,6 @@ from .errors import EmptyTrace
 from .sampler import ChainTrace
 
 __all__ = [
-    "FdrSelection",
     "PosteriorSummary",
     "ConcordanceReport",
     "compute_ppi",
@@ -23,25 +22,6 @@ __all__ = [
 # PPIs are rounded before threshold comparisons so float noise cannot
 # split ties nondeterministically.
 _PPI_DECIMALS = 12
-
-
-@dataclass(frozen=True)
-class FdrSelection:
-    """Result of thresholding PPIs at a target Bayesian FDR.
-
-    ``threshold`` is on the PPI scale: the selection is exactly
-    ``{ppi >= threshold}``. An empty selection (no cutoff achieves the
-    target) is legal and reported with ``threshold = inf``.
-    """
-
-    threshold: float
-    selected: np.ndarray
-    fdr: float
-    n_selected: int
-
-    @property
-    def empty(self) -> bool:
-        return self.n_selected == 0
 
 
 def compute_ppi(traces: list[ChainTrace]) -> tuple[np.ndarray, np.ndarray]:
@@ -60,15 +40,16 @@ def compute_ppi(traces: list[ChainTrace]) -> tuple[np.ndarray, np.ndarray]:
     return gamma, delta
 
 
-def bayesian_fdr_threshold(ppis: np.ndarray, target: float = 0.05) -> FdrSelection:
-    """Largest selection whose estimated Bayesian FDR stays at or below
-    ``target``.
+def bayesian_fdr_threshold(ppis: np.ndarray, target: float = 0.05) -> np.ndarray:
+    """The largest selection whose estimated Bayesian FDR stays at or below
+    ``target``, as a boolean mask over ``ppis``.
 
     Sorting the complements q = 1 - PPI ascending, the estimated FDR of
     selecting everything strictly below a cutoff c is the mean of the q
-    values below c; the cutoff returned is the largest one (over the
-    distinct q values, plus select-all) meeting the target. Ties at a
-    cutoff are excluded by the strict inequality.
+    values below c; the cutoff taken is the largest one (over the distinct
+    q values, plus select-all) meeting the target. Ties at a cutoff are
+    excluded by the strict inequality, so the selection is every PPI at or
+    above its smallest member, and may be empty.
     """
     if not 0 < target < 1:
         raise ValueError(f"target FDR must lie in (0, 1), got {target}")
@@ -76,11 +57,9 @@ def bayesian_fdr_threshold(ppis: np.ndarray, target: float = 0.05) -> FdrSelecti
     if np.any(ppis < 0) or np.any(ppis > 1):
         raise ValueError("PPIs must lie in [0, 1]")
     m = ppis.size
-    empty = FdrSelection(
-        threshold=float("inf"), selected=np.zeros(m, dtype=bool), fdr=0.0, n_selected=0
-    )
+    selected = np.zeros(m, dtype=bool)
     if m == 0:
-        return empty
+        return selected
 
     q = 1.0 - np.round(ppis, _PPI_DECIMALS)
     order = np.argsort(q, kind="stable")
@@ -90,17 +69,9 @@ def bayesian_fdr_threshold(ppis: np.ndarray, target: float = 0.05) -> FdrSelecti
     # sorted value is strictly larger (or the prefix is everything)
     boundary = np.append(qs[1:] > qs[:-1], True)
     feasible = boundary & (prefix_mean <= target)
-    if not np.any(feasible):
-        return empty
-    k = int(np.flatnonzero(feasible)[-1]) + 1
-    selected = np.zeros(m, dtype=bool)
-    selected[order[:k]] = True
-    return FdrSelection(
-        threshold=float(ppis[selected].min()),
-        selected=selected,
-        fdr=float(prefix_mean[k - 1]),
-        n_selected=k,
-    )
+    if np.any(feasible):
+        selected[order[: int(np.flatnonzero(feasible)[-1]) + 1]] = True
+    return selected
 
 
 @dataclass(frozen=True)
@@ -129,12 +100,12 @@ def summarize(traces: list[ChainTrace], fdr_target: float = 0.05) -> PosteriorSu
     """
     ppi_gamma, ppi_delta = compute_ppi(traces)
     total = sum(t.n_recorded for t in traces)
-    selected_delta = bayesian_fdr_threshold(ppi_delta.ravel(), fdr_target).selected
+    selected_delta = bayesian_fdr_threshold(ppi_delta.ravel(), fdr_target)
     draws = np.concatenate([t.mu_draws for t in traces], axis=0)
     return PosteriorSummary(
         ppi_gamma=ppi_gamma,
         ppi_delta=ppi_delta,
-        selected_gamma=bayesian_fdr_threshold(ppi_gamma, fdr_target).selected,
+        selected_gamma=bayesian_fdr_threshold(ppi_gamma, fdr_target),
         selected_delta=selected_delta.reshape(ppi_delta.shape),
         mu0_mean=sum(t.mu0_sum for t in traces) / total,
         mu_mean=sum(t.mu_sum for t in traces) / total,
@@ -150,15 +121,13 @@ class ConcordanceReport:
     """Pairwise PPI correlations between chains and a convergence verdict.
 
     Correlations are Pearson coefficients of the per-chain PPI vectors;
-    a pair involving a constant (degenerate-variance) vector is NaN and
-    flagged. The verdict requires every pair to be at or above the floor,
-    with NaN pairs passing only when the two vectors are exactly equal.
+    a pair involving a constant (degenerate-variance) vector is NaN. The
+    verdict requires every pair to be at or above the floor, with NaN
+    pairs passing only when the two vectors are exactly equal.
     """
 
     corr_gamma: np.ndarray
     corr_delta: np.ndarray
-    degenerate_gamma: tuple[int, ...]
-    degenerate_delta: tuple[int, ...]
     floor: float
     converged: bool
 
@@ -182,7 +151,7 @@ def _pairwise(vectors: list[np.ndarray], floor: float):
                 mat[a, b] = mat[b, a] = r
                 if r < floor:
                     ok = False
-    return mat, degenerate, ok
+    return mat, ok
 
 
 def chain_concordance(traces: list[ChainTrace], floor: float = 0.95) -> ConcordanceReport:
@@ -191,13 +160,8 @@ def chain_concordance(traces: list[ChainTrace], floor: float = 0.95) -> Concorda
         raise ValueError(f"need at least 2 traces, got {len(traces)}")
     gamma_vecs = [t.ppi_gamma() for t in traces]
     delta_vecs = [t.ppi_delta().ravel() for t in traces]
-    corr_g, degen_g, ok_g = _pairwise(gamma_vecs, floor)
-    corr_d, degen_d, ok_d = _pairwise(delta_vecs, floor)
+    corr_g, ok_g = _pairwise(gamma_vecs, floor)
+    corr_d, ok_d = _pairwise(delta_vecs, floor)
     return ConcordanceReport(
-        corr_gamma=corr_g,
-        corr_delta=corr_d,
-        degenerate_gamma=degen_g,
-        degenerate_delta=degen_d,
-        floor=floor,
-        converged=ok_g and ok_d,
+        corr_gamma=corr_g, corr_delta=corr_d, floor=floor, converged=ok_g and ok_d
     )

@@ -9,7 +9,7 @@ match.
 from __future__ import annotations
 
 import csv
-import re
+import os
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,6 @@ __all__ = [
     "write_table",
 ]
 
-_INT_RE = re.compile(r"^\d+$")
 # the sampler works on counts as float64, where integers above 2**53 are not exact
 _MAX_COUNT = 2**53
 
@@ -80,8 +79,8 @@ def read_counts(path) -> CountMatrix:
     rows = []
     for i, row in enumerate(body, start=2):
         cells = [cell.strip() for cell in row[1:]]
-        # str.isdecimal accepts exactly what _INT_RE does (every character a
-        # Unicode decimal digit), and int() parses all of it; isdigit would
+        # str.isdecimal accepts exactly the text whose every character is a
+        # Unicode decimal digit, and int() parses all of it; isdigit would
         # also pass '²', which int() refuses
         if all(map(str.isdecimal, cells)):
             try:
@@ -165,7 +164,7 @@ def read_groups(path) -> tuple[GroupAssignment, tuple[str, ...]]:
     for i, row in enumerate(body):
         sample_ids.append(row[0])
         text = row[1].strip()
-        if not _INT_RE.match(text):
+        if not text.isdecimal():
             raise ParseError(str(path), i + 2, 2, f"unparseable group label {row[1]!r}")
         labels[i] = int(text)
     k = int(labels.max()) if labels.size else 0
@@ -203,9 +202,7 @@ def align_to_counts(
     joining on sample_id."""
     cov_order = sample_order(counts.sample_ids, covariate_samples, "covariates")
     grp_order = sample_order(counts.sample_ids, group_samples, "groups")
-    covariates = CovariateMatrix(
-        covariates.values[cov_order], covariates.covariate_ids, covariates.standardized
-    )
+    covariates = CovariateMatrix(covariates.values[cov_order], covariates.covariate_ids)
     groups = GroupAssignment(
         groups.labels[grp_order], groups.n_groups, groups.reference_group
     )
@@ -213,10 +210,19 @@ def align_to_counts(
 
 
 def write_table(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=_delimiter(path), lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write ``header`` and ``rows`` to ``path`` whole or not at all: into
+    ``<path>.tmp`` beside it, then moved into place. On any error the temp
+    file is removed and an existing ``path`` is left as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, delimiter=_delimiter(path), lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def write_counts(path, counts: CountMatrix) -> None:

@@ -120,8 +120,6 @@ __all__ = [
     "ChainTrace",
     "run_chain",
     "run_chains_parallel",
-    "zero_indicator_prob",
-    "THREADS_ENV_VAR",
 ]
 
 THREADS_ENV_VAR = "ZINBREG_THREADS"
@@ -204,13 +202,6 @@ class ModelState:
     delta: np.ndarray      # (R, p) int8
     phi: np.ndarray        # (p,)
 
-    def copy(self) -> "ModelState":
-        return ModelState(
-            r=self.r.copy(), mu0=self.mu0.copy(), mu=self.mu.copy(),
-            beta=self.beta.copy(), gamma=self.gamma.copy(),
-            delta=self.delta.copy(), phi=self.phi.copy(),
-        )
-
 
 @dataclass
 class ChainTrace:
@@ -236,10 +227,6 @@ class ChainTrace:
 
     def ppi_delta(self) -> np.ndarray:
         return self.delta_sums / self.n_recorded
-
-    def acceptance_rate(self, move: str) -> float:
-        n = self.proposal_counts.get(move, 0)
-        return self.accept_counts.get(move, 0) / n if n else float("nan")
 
 
 class _Engine:
@@ -336,8 +323,8 @@ class _Engine:
         self.tau_phi = scales.tau_phi
         self.proposal_counts = {m: 0 for m in _MOVES}
         self.accept_counts = {m: 0 for m in _MOVES}
-        self._window_prop = {m: 0 for m in _MOVES}
-        self._window_acc = {m: 0 for m in _MOVES}
+        # the counters at the last adaptation: its window is the difference
+        self._adapted_at = (dict(self.proposal_counts), dict(self.accept_counts))
         # the likelihood cache of the current state: per cell, (p, n) float
         self.active: np.ndarray | None = None    # 1 - r
         self.log_odds: np.ndarray | None = None  # M = log mean - log phi
@@ -385,8 +372,6 @@ class _Engine:
     def _count(self, move: str, proposed: int, accepted: int) -> None:
         self.proposal_counts[move] += int(proposed)
         self.accept_counts[move] += int(accepted)
-        self._window_prop[move] += int(proposed)
-        self._window_acc[move] += int(accepted)
 
     # -- the likelihood ----------------------------------------------------
 
@@ -772,22 +757,21 @@ class _Engine:
 
     def adapt(self, round_index: int, target: float = 0.3) -> None:
         """Robbins-Monro rescaling of the live proposal scales from the
-        acceptance rates of the last window."""
+        acceptance rates of the window since the last call."""
         gain = 1.0 / (round_index**0.6)
-        for attr, moves in (
-            ("tau_mu0", ("mu0",)),
-            ("tau_mu", ("mu_within",)),
-            ("tau_beta", ("beta_within",)),
-            ("tau_phi", ("phi",)),
+        prop0, acc0 = self._adapted_at
+        for attr, move in (
+            ("tau_mu0", "mu0"),
+            ("tau_mu", "mu_within"),
+            ("tau_beta", "beta_within"),
+            ("tau_phi", "phi"),
         ):
-            prop = sum(self._window_prop[m] for m in moves)
+            prop = self.proposal_counts[move] - prop0[move]
             if prop == 0:
                 continue
-            rate = sum(self._window_acc[m] for m in moves) / prop
+            rate = (self.accept_counts[move] - acc0[move]) / prop
             setattr(self, attr, getattr(self, attr) * math.exp(gain * (rate - target)))
-        for m in _MOVES:
-            self._window_prop[m] = 0
-            self._window_acc[m] = 0
+        self._adapted_at = (dict(self.proposal_counts), dict(self.accept_counts))
 
 
 def _truncated_walk(phi, tau, rng):

@@ -1,16 +1,11 @@
 """Synthetic count data with ground truth for benchmarking.
 
-Two generators:
-
-* ``generate`` draws each sample's counts from a Dirichlet-Multinomial
-  whose log concentrations carry the group and covariate effects, then
-  masks a fixed fraction of cells to zero. This intentionally differs
-  from the fitted model's own count process.
-* ``generate_zinb`` draws straight from the fitted model's ZINB process,
-  for parameter-recovery checks.
-
-Both are pure functions of their config (seeded), so datasets are
-reproducible and parallel replicate generation is safe.
+``generate`` draws each sample's counts from a Dirichlet-Multinomial whose
+log concentrations carry the group and covariate effects, then masks a
+fixed fraction of cells to zero. This intentionally differs from the
+fitted model's own count process. It is a pure function of its config
+(seeded), so datasets are reproducible and parallel replicate generation
+is safe.
 """
 
 from __future__ import annotations
@@ -27,7 +22,6 @@ __all__ = [
     "SimTruth",
     "dirichlet_draw",
     "generate",
-    "generate_zinb",
 ]
 
 
@@ -68,12 +62,10 @@ class SimConfig:
 class SimTruth:
     """Ground truth behind one synthetic dataset."""
 
-    gamma_true: np.ndarray           # (p,) int8
-    delta_true: np.ndarray           # (R, p) int8
-    mu0_true: np.ndarray             # (p,)
-    mu2_true: np.ndarray             # (p,), shift of group 2 vs reference
-    beta_true: np.ndarray            # (R, p)
-    structural_zero_mask: np.ndarray  # (n, p) int8
+    gamma_true: np.ndarray  # (p,) int8
+    delta_true: np.ndarray  # (R, p) int8
+    mu2_true: np.ndarray    # (p,), shift of group 2 vs reference
+    beta_true: np.ndarray   # (R, p)
 
 
 def dirichlet_draw(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -161,12 +153,9 @@ def generate(
         total = int(rng.integers(config.total_min, config.total_max + 1))
         y[i] = rng.multinomial(total, probs)
 
-    mask = np.zeros((n, p), dtype=np.int8)
     n_mask = int(round(config.pi0 * n * p))
     if n_mask:
-        cells = rng.choice(n * p, size=n_mask, replace=False)
-        mask.flat[cells] = 1
-        y.flat[cells] = 0
+        y.flat[rng.choice(n * p, size=n_mask, replace=False)] = 0
 
     counts = CountMatrix(
         y,
@@ -176,82 +165,7 @@ def generate(
     covariates = CovariateMatrix(x, tuple(f"cov_{r + 1}" for r in range(R)))
     groups = GroupAssignment(labels, n_groups=2, reference_group=1)
     truth = SimTruth(
-        gamma_true=gamma_true,
-        delta_true=delta_true,
-        mu0_true=mu0,
-        mu2_true=mu2,
-        beta_true=beta_true,
-        structural_zero_mask=mask,
+        gamma_true=gamma_true, delta_true=delta_true, mu2_true=mu2, beta_true=beta_true
     )
     return counts, covariates, groups, truth
 
-
-def generate_zinb(
-    n: int = 200,
-    p: int = 20,
-    n_disc: int = 10,
-    n_covariates: int = 0,
-    m_active: int = 0,
-    n_groups: int = 2,
-    pi_zero: float = 0.2,
-    phi: float = 10.0,
-    mu0_low: float = 6.0,
-    mu0_high: float = 8.0,
-    shift_size: float = 2.0,
-    seed: int = 0,
-) -> tuple[CountMatrix, CovariateMatrix, GroupAssignment, SimTruth]:
-    """Generate counts from the fitted model's own ZINB process.
-
-    Group shifts of non-reference groups are ``±shift_size`` on the
-    discriminating features, covariate effects ``±Uniform(0.5, 1)`` on
-    ``m_active`` slots per feature, size factors one, and each cell is an
-    extra zero independently with probability ``pi_zero``.
-    """
-    if n_groups < 2:
-        raise ValueError("need at least 2 groups")
-    rng = np.random.default_rng(seed)
-    labels = 1 + (np.arange(n) % n_groups)
-    half_shift = np.zeros((n_groups, p))
-
-    mu0 = rng.uniform(mu0_low, mu0_high, size=p)
-    disc = rng.choice(p, size=n_disc, replace=False)
-    gamma_true = np.zeros(p, dtype=np.int8)
-    gamma_true[disc] = 1
-    for k in range(1, n_groups):
-        half_shift[k, disc] = shift_size * (2 * rng.integers(0, 2, size=n_disc) - 1)
-
-    R = n_covariates
-    x = rng.standard_normal((n, R)) if R else np.zeros((n, 0))
-    delta_true = np.zeros((R, p), dtype=np.int8)
-    beta_true = np.zeros((R, p))
-    for j in range(p):
-        if m_active == 0:
-            break
-        active = rng.choice(R, size=m_active, replace=False)
-        signs = 2 * rng.integers(0, 2, size=m_active) - 1
-        beta_true[active, j] = signs * rng.uniform(0.5, 1.0, size=m_active)
-        delta_true[active, j] = 1
-
-    z0 = labels - 1
-    eta = mu0[None, :] + half_shift[z0, :] + x @ beta_true
-    lam = np.exp(eta)
-    nb = rng.negative_binomial(phi, phi / (phi + lam))
-    mask = (rng.random((n, p)) < pi_zero).astype(np.int8)
-    y = np.where(mask == 1, 0, nb).astype(np.int64)
-
-    counts = CountMatrix(
-        y,
-        sample_ids=tuple(f"sample_{i + 1}" for i in range(n)),
-        feature_ids=tuple(f"taxon_{j + 1}" for j in range(p)),
-    )
-    covariates = CovariateMatrix(x, tuple(f"cov_{r + 1}" for r in range(R)))
-    groups = GroupAssignment(labels, n_groups=n_groups, reference_group=1)
-    truth = SimTruth(
-        gamma_true=gamma_true,
-        delta_true=delta_true,
-        mu0_true=mu0,
-        mu2_true=half_shift[1].copy(),
-        beta_true=beta_true,
-        structural_zero_mask=mask,
-    )
-    return counts, covariates, groups, truth

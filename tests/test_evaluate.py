@@ -116,14 +116,11 @@ def _summary(ppi_gamma, sel_gamma, ppi_delta, sel_delta):
 def _truth(gamma, delta):
     gamma = np.asarray(gamma, dtype=np.int8)
     delta = np.asarray(delta, dtype=np.int8)
-    p = gamma.size
     return SimTruth(
         gamma_true=gamma,
         delta_true=delta,
-        mu0_true=np.zeros(p),
-        mu2_true=np.zeros(p),
+        mu2_true=np.zeros(gamma.size),
         beta_true=delta.astype(float),
-        structural_zero_mask=np.zeros((2, p), dtype=np.int8),
     )
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
+from _zinb import generate_zinb
 from conftest import small_dataset
 from zinbreg.data import Hyperparameters, ProposalScales
 from zinbreg.errors import EmptyTrace
@@ -58,24 +59,36 @@ def test_compute_ppi_requires_traces():
         compute_ppi([])
 
 
+def _assert_largest_fdr_selection(ppis, target, selected):
+    """``selected`` is an upper set of ``ppis`` whose mean 1 - PPI is at
+    most ``target``, and adding the next PPI with its ties would exceed it."""
+    q = 1.0 - ppis
+    if selected.any():
+        np.testing.assert_array_equal(selected, ppis >= ppis[selected].min())
+        assert q[selected].mean() <= target + 1e-12
+    if not selected.all():
+        grown = selected | (ppis >= ppis[~selected].max())
+        assert q[grown].mean() > target
+
+
 def test_fdr_threshold_worked_example():
     # complements (0.01, 0.02, 0.50): prefix means 0.01, 0.015, 0.51/3
-    sel = bayesian_fdr_threshold(np.array([0.99, 0.98, 0.50]), 0.05)
-    assert sel.selected.tolist() == [True, True, False]
-    assert sel.threshold == pytest.approx(0.98)
-    assert sel.fdr == pytest.approx(0.015)
+    ppis = np.array([0.99, 0.98, 0.50])
+    sel = bayesian_fdr_threshold(ppis, 0.05)
+    assert sel.tolist() == [True, True, False]
+    assert (1.0 - ppis[sel]).mean() == pytest.approx(0.015)
+    _assert_largest_fdr_selection(ppis, 0.05, sel)
 
 
 def test_fdr_threshold_all_ones_selects_all():
     sel = bayesian_fdr_threshold(np.ones(5), 0.05)
-    assert sel.n_selected == 5
-    assert sel.fdr == 0.0
+    assert sel.dtype == bool and sel.all()
 
 
 def test_fdr_threshold_all_zeros_selects_none():
     sel = bayesian_fdr_threshold(np.zeros(5), 0.05)
-    assert sel.empty
-    assert sel.threshold == np.inf
+    assert sel.shape == (5,) and not sel.any()
+    assert bayesian_fdr_threshold(np.zeros(0), 0.05).shape == (0,)
 
 
 def test_fdr_threshold_tie_handling_strict():
@@ -83,10 +96,12 @@ def test_fdr_threshold_tie_handling_strict():
     # (prefix mean 0.07) or not at all; the strict cutoff cannot split them
     ppis = np.array([0.99, 0.9, 0.9, 0.2])
     sel = bayesian_fdr_threshold(ppis, 0.06)
-    assert sel.selected.tolist() == [True, False, False, False]
+    assert sel.tolist() == [True, False, False, False]
+    _assert_largest_fdr_selection(ppis, 0.06, sel)
     sel2 = bayesian_fdr_threshold(ppis, 0.08)
-    assert sel2.selected.tolist() == [True, True, True, False]
-    assert sel2.fdr == pytest.approx(0.07)
+    assert sel2.tolist() == [True, True, True, False]
+    assert (1.0 - ppis[sel2]).mean() == pytest.approx(0.07)
+    _assert_largest_fdr_selection(ppis, 0.08, sel2)
 
 
 def test_fdr_threshold_matches_bruteforce_scan():
@@ -95,7 +110,7 @@ def test_fdr_threshold_matches_bruteforce_scan():
         m = int(rng.integers(1, 40))
         ppis = np.round(rng.random(m), int(rng.integers(1, 4)))
         target = float(rng.uniform(0.01, 0.3))
-        ours = bayesian_fdr_threshold(ppis, target).selected
+        ours = bayesian_fdr_threshold(ppis, target)
         np.testing.assert_array_equal(ours, oracle.fdr_scan(ppis, target))
 
 
@@ -108,8 +123,8 @@ def test_fdr_threshold_matches_bruteforce_scan():
 def test_fdr_monotone_in_target(ppis, t1, t2):
     ppis = np.array(ppis)
     lo, hi = sorted((t1, t2))
-    sel_lo = bayesian_fdr_threshold(ppis, lo).selected
-    sel_hi = bayesian_fdr_threshold(ppis, hi).selected
+    sel_lo = bayesian_fdr_threshold(ppis, lo)
+    sel_hi = bayesian_fdr_threshold(ppis, hi)
     assert np.all(sel_hi | ~sel_lo)  # raising the target never drops items
 
 
@@ -117,8 +132,7 @@ def test_fdr_selected_set_equals_threshold_rule():
     rng = np.random.default_rng(6)
     for _ in range(100):
         ppis = rng.random(25)
-        sel = bayesian_fdr_threshold(ppis, 0.1)
-        np.testing.assert_array_equal(sel.selected, ppis >= sel.threshold)
+        _assert_largest_fdr_selection(ppis, 0.1, bayesian_fdr_threshold(ppis, 0.1))
 
 
 def test_summarize_single_draw_degenerate_intervals():
@@ -132,9 +146,8 @@ def test_summarize_single_draw_degenerate_intervals():
 def test_summarize_interval_brackets_mean_on_strong_signal():
     from zinbreg.data import validate_inputs
     from zinbreg.normalization import SizeFactors
-    from zinbreg.simulate import generate_zinb
 
-    counts, covs, groups, truth = generate_zinb(
+    counts, covs, groups, truth, _ = generate_zinb(
         n=60, p=10, n_disc=4, pi_zero=0.15, phi=10.0, seed=9
     )
     ds = validate_inputs(counts, covs, groups)
@@ -171,7 +184,6 @@ def test_concordance_degenerate_chain_flagged():
     a, b = traces
     a.gamma_sums[:] = a.n_recorded  # constant PPI vector
     report = chain_concordance([a, b], floor=0.5)
-    assert 0 in report.degenerate_gamma
     assert np.isnan(report.corr_gamma[0, 1])
     assert not report.converged
 

@@ -71,6 +71,21 @@ def test_tsv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.counts, counts.counts)
 
 
+def test_write_table_failing_midway_leaves_the_old_file(tmp_path):
+    path = tmp_path / "t.csv"
+    zio.write_table(path, ["a", "b"], [["1", "2"]])
+    before = path.read_bytes()
+
+    def rows():
+        yield ["3", "4"]
+        raise RuntimeError("row generator failed")
+
+    with pytest.raises(RuntimeError, match="row generator failed"):
+        zio.write_table(path, ["a", "b"], rows())
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
 def test_non_integer_count_located(tmp_path):
     (tmp_path / "bad.csv").write_text("sample_id,f1\ns1,3.5\ns2,1\n")
     with pytest.raises(NonIntegerCount, match="2:2"):

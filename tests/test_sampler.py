@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
+from _zinb import generate_zinb
 from conftest import make_counts, small_dataset
 from zinbreg.data import (
     CountMatrix,
@@ -30,7 +31,6 @@ from zinbreg.sampler import (
     run_chains_parallel,
     zero_indicator_prob,
 )
-from zinbreg.simulate import generate_zinb
 
 
 HP = Hyperparameters()
@@ -259,7 +259,7 @@ def _fit_zinb(counts, covs, groups, n_iter, seed, scales=SCALES):
 
 def test_mu0_recovery_single_taxon():
     # one feature, no shifts/covariates, true baseline 9
-    counts, covs, groups, _ = generate_zinb(
+    counts, covs, groups, _, _ = generate_zinb(
         n=50, p=1, n_disc=0, pi_zero=0.2, phi=10.0, mu0_low=9.0, mu0_high=9.0, seed=31
     )
     trace = _fit_zinb(counts, covs, groups, 1600, seed=5)
@@ -268,7 +268,7 @@ def test_mu0_recovery_single_taxon():
 
 
 def test_phi_recovery_single_taxon():
-    counts, covs, groups, _ = generate_zinb(
+    counts, covs, groups, _, _ = generate_zinb(
         n=200, p=1, n_disc=0, pi_zero=0.2, phi=10.0, mu0_low=7.0, mu0_high=7.0, seed=32
     )
     trace = _fit_zinb(counts, covs, groups, 2500, seed=6)
@@ -277,7 +277,7 @@ def test_phi_recovery_single_taxon():
 
 
 def test_strong_signal_ppi_high():
-    counts, covs, groups, truth = generate_zinb(
+    counts, covs, groups, truth, _ = generate_zinb(
         n=60, p=12, n_disc=4, pi_zero=0.2, phi=10.0, seed=33
     )
     trace = _fit_zinb(counts, covs, groups, 2000, seed=7)
@@ -286,7 +286,7 @@ def test_strong_signal_ppi_high():
 
 
 def test_group_label_equivariance_three_groups():
-    counts, covs, groups, truth = generate_zinb(
+    counts, covs, groups, truth, _ = generate_zinb(
         n=90, p=8, n_disc=4, n_groups=3, pi_zero=0.15, phi=10.0, seed=34
     )
     swapped = GroupAssignment(
@@ -471,7 +471,7 @@ def _run_against_naive(ds, step, naive, init_seed, rng_seed, sweeps=25, hp=HP,
     states."""
     sf = estimate_css(ds.counts)
     eng, s_eng = _start(ds, init_seed, sf, hp, scales)
-    s_ref = s_eng.copy()
+    s_ref = copy.deepcopy(s_eng)
     rng_eng = np.random.default_rng(rng_seed)
     rng_ref = np.random.default_rng(rng_seed)
     for _ in range(sweeps):
@@ -512,10 +512,10 @@ def test_log_posterior_differences_match_oracle():
     sf = estimate_css(ds.counts)
     eng, s1 = _start(ds, 1, sf)
     rng = np.random.default_rng(2)
-    states = [s1.copy()]
+    states = [copy.deepcopy(s1)]
     for _ in range(3):
         eng.sweep(s1, rng)
-        states.append(s1.copy())
+        states.append(copy.deepcopy(s1))
     states.append(_start(ds, 3, sf)[1])
     oracle_lp = [oracle.log_posterior(s, ds, sf, HP) for s in states]
     engine_lp = []
@@ -636,7 +636,7 @@ def test_sweeps_without_covariates_keep_the_cache():
     sf = estimate_css(ds.counts)
     eng, state = _start(ds, 16, sf)
     assert eng.xt.shape == (0, ds.n)
-    start = state.copy()
+    start = copy.deepcopy(state)
     rng = np.random.default_rng(17)
     for _ in range(30):
         eng.sweep(state, rng)
@@ -682,7 +682,7 @@ def test_log_posterior_prior_only_differences_match_oracle():
     eng = _engine(ds, sf, prior_only=True)
     rng = np.random.default_rng(4)
     state = eng.init_state(rng)
-    start = state.copy()
+    start = copy.deepcopy(state)
     engine_lp, oracle_lp = [], []
     for _ in range(5):
         eng.sweep(state, rng)
@@ -847,7 +847,7 @@ def test_move_ratios_match_the_oracle_log_mass():
         (eng._delta_add_delete, delta),
         (eng.step_phi, phi),
     ):
-        proposed = state.copy()
+        proposed = copy.deepcopy(state)
         feats = replay(copy.deepcopy(rng), proposed)
         want = _oracle_ratio(ds, sf, state, proposed)[feats]
         assert np.any(np.abs(want) > 1e-3), replay.__name__
@@ -901,7 +901,7 @@ def test_baselines_past_the_clip_walk_back_down():
 
 def _wide_dataset(p, seed):
     """Small counts with extra zeros, n=60 and 7 covariates, as in a wide fit."""
-    counts, covs, groups, _ = generate_zinb(
+    counts, covs, groups, _, _ = generate_zinb(
         n=60, p=p, n_disc=20, n_covariates=7, m_active=4, pi_zero=0.3, phi=2.0,
         mu0_low=1.5, mu0_high=5.0, shift_size=1.5, seed=seed,
     )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
-
+from _zinb import generate_zinb
 from zinbreg.data import (
     CovariateMatrix,
     GroupAssignment,
@@ -11,7 +11,7 @@ from zinbreg.data import (
     validate_inputs,
 )
 from zinbreg.errors import DomainError, PoolTooSmall
-from zinbreg.simulate import SimConfig, dirichlet_draw, generate, generate_zinb
+from zinbreg.simulate import SimConfig, dirichlet_draw, generate
 
 
 def test_dirichlet_draw_sums_to_one():
@@ -68,18 +68,22 @@ def test_generate_deterministic():
 
 
 def test_generate_zero_mask_count_and_rowsums():
-    cfg = SimConfig(n=10, p=20, n_disc=4, n_covariates=3, m_active=2,
-                    total_min=5000, total_max=9000, pi0=0.25, seed=7)
-    counts, covs, groups, truth = generate(cfg)
-    assert truth.structural_zero_mask.sum() == round(0.25 * 10 * 20)
-    assert np.all(counts.counts[truth.structural_zero_mask == 1] == 0)
+    # totals in the tens of millions, so that no unmasked count is zero and
+    # every masked cell shows as a change
+    cfg = SimConfig(n=10, p=20, n_disc=4, n_covariates=3, m_active=2, pi0=0.25, seed=7)
+    counts = generate(cfg)[0].counts
+    # the mask is drawn after the counts, so the unmasked twin from the same
+    # seed has the same counts except at the masked cells, now zero
+    cfg0 = SimConfig(**{**cfg.__dict__, "pi0": 0.0})
+    counts0 = generate(cfg0)[0].counts
+    assert counts0.all()
+    masked = counts != counts0
+    assert masked.sum() == round(0.25 * 10 * 20)
+    assert np.all(counts[masked] == 0)
 
     # with no masking, row sums equal the multinomial totals
-    cfg0 = SimConfig(**{**cfg.__dict__, "pi0": 0.0})
-    counts0, _, _, truth0 = generate(cfg0)
-    assert truth0.structural_zero_mask.sum() == 0
-    sums = counts0.counts.sum(axis=1)
-    assert np.all((sums >= 5000) & (sums <= 9000))
+    sums = counts0.sum(axis=1)
+    assert np.all((sums >= cfg.total_min) & (sums <= cfg.total_max))
 
 
 def test_generate_truth_counts():
@@ -138,18 +142,19 @@ def test_sim_config_validation():
 
 
 def test_generate_zinb_structure():
-    counts, covs, groups, truth = generate_zinb(
+    counts, covs, groups, truth, mask = generate_zinb(
         n=40, p=10, n_disc=3, n_covariates=4, m_active=2, pi_zero=0.3, seed=21
     )
     assert counts.counts.shape == (40, 10)
     assert covs.n_covariates == 4
     assert truth.gamma_true.sum() == 3
-    assert np.all(counts.counts[truth.structural_zero_mask == 1] == 0)
+    assert mask.shape == (40, 10) and mask.any()
+    assert np.all(counts.counts[mask == 1] == 0)
     assert np.all(truth.delta_true.sum(axis=0) == 2)
 
 
 def test_generate_zinb_multi_group_labels():
-    _, _, groups, truth = generate_zinb(n=30, p=6, n_disc=2, n_groups=3, seed=22)
+    _, _, groups, truth, _ = generate_zinb(n=30, p=6, n_disc=2, n_groups=3, seed=22)
     assert set(groups.labels.tolist()) == {1, 2, 3}
     assert truth.mu2_true.shape == (6,)
 
